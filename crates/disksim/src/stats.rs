@@ -224,7 +224,7 @@ impl ResponseStats {
         }
         scratch.clear();
         scratch.extend_from_slice(&self.samples);
-        scratch.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        scratch.sort_unstable_by(f64::total_cmp);
         let idx = ((p / 100.0) * (scratch.len() - 1) as f64).round() as usize;
         Seconds::from_millis(scratch[idx])
     }
@@ -311,6 +311,17 @@ mod tests {
         assert!((s.percentile(95.0).to_millis() - 95.0).abs() <= 1.0);
         assert!((s.percentile(0.0).to_millis() - 1.0).abs() < 1e-9);
         assert!((s.percentile(100.0).to_millis() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nan_samples_sort_last_instead_of_panicking() {
+        // Reports query percentiles over whatever was recorded; one bad
+        // sample must not abort them. Under the total order a NaN sorts
+        // after every number.
+        let s = stats_of(&[3.0, f64::NAN, 1.0, 2.0]);
+        assert_eq!(s.percentile(0.0).to_millis(), 1.0);
+        assert_eq!(s.percentile(50.0).to_millis(), 3.0);
+        assert!(s.percentile(100.0).to_millis().is_nan());
     }
 
     #[test]

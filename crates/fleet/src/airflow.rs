@@ -11,18 +11,19 @@
 //! suffices, exactly like [`diskthermal::AirflowPath::bay_states`]'s
 //! single-pass argument.
 //!
-//! Two topologies share that contract. [`AirflowGraph::new`] (and the
-//! `serial` / `columns` shorthands) store the coupling lists
-//! explicitly — fine at rack scale, O(n²) memory and time for dense
-//! graphs. [`AirflowGraph::hall`] instead stores a three-level
-//! **rack → row → hall hierarchy**: drives within a rack couple at
-//! `k_drive` K/W in bay order, whole racks couple to later racks in
-//! their row at `k_rack` against the *rack total* heat, and whole rows
-//! couple to later rows at `k_row` against the row total. The implied
-//! dense matrix is never materialized; prefix sums over per-rack
-//! aggregates evaluate the same linear form in O(n), and the per-rack
-//! folds are independent, so the fleet parallelizes them while only the
-//! small per-level aggregates couple serially.
+//! Neither topology materializes the coupling matrix; both evaluate it
+//! in O(n) time from O(1) parameters. [`AirflowGraph::columns`] (and
+//! [`AirflowGraph::serial`], one column of every drive) are independent
+//! serial **columns**: each bay is preheated at one `k` by every bay
+//! above it in its column, so a running preheat sum down the column
+//! yields every ambient in a single pass. [`AirflowGraph::hall`] is a
+//! three-level **rack → row → hall hierarchy**: drives within a rack
+//! couple at `k_drive` K/W in bay order, whole racks couple to later
+//! racks in their row at `k_rack` against the *rack total* heat, and
+//! whole rows couple to later rows at `k_row` against the row total.
+//! Prefix sums over per-rack aggregates evaluate that form, and the
+//! per-rack folds are independent, so the fleet parallelizes them while
+//! only the small per-level aggregates couple serially.
 
 use crate::error::FleetError;
 use serde::{Deserialize, Serialize};
@@ -44,62 +45,75 @@ pub(crate) struct HallShape {
     pub k_row: f64,
 }
 
-/// How the coupling matrix is represented.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// How the coupling matrix is implied; neither form stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum Topology {
-    /// Explicit per-drive `(source, kelvin_per_watt)` lists.
-    Flat(Vec<Vec<(usize, f64)>>),
-    /// The rack → row → hall hierarchy; the matrix is implied.
-    Hierarchy { drives: usize, shape: HallShape },
+    /// Independent serial columns of `per_column` bays (the last may be
+    /// short): each bay is preheated at `k` K/W by every bay above it
+    /// in its own column.
+    Columns { per_column: usize, k: f64 },
+    /// The rack → row → hall hierarchy.
+    Hierarchy(HallShape),
 }
 
 /// A directed acyclic thermal-coupling graph over the fleet's drives.
 ///
-/// In the flat form, `upstream[i]` lists `(source, kelvin_per_watt)`
-/// couplings; drive `i`'s local ambient is the rack inlet preheated by
-/// every listed source's heat. Sources must have a smaller index than
-/// the drive they preheat (air flows forward through the rack), which
-/// keeps the graph acyclic by construction. The hierarchical form
-/// ([`AirflowGraph::hall`]) keeps the same forward-only discipline
-/// level by level: bay order within a rack, rack order within a row,
-/// row order within the hall.
+/// Air flows forward through the bay indices: a drive is preheated only
+/// by drives with a smaller index, which keeps the graph acyclic by
+/// construction. Columns restart that flow every `per_column` bays; the
+/// hierarchy ([`AirflowGraph::hall`]) keeps the same forward-only
+/// discipline level by level: bay order within a rack, rack order
+/// within a row, row order within the hall.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AirflowGraph {
     inlet: Celsius,
+    drives: usize,
     topology: Topology,
 }
 
 impl AirflowGraph {
-    /// Builds a graph from explicit couplings.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an empty graph, couplings that point at out-of-range or
-    /// non-upstream (index ≥ self) sources, and non-finite or negative
-    /// coefficients.
-    pub fn new(inlet: Celsius, upstream: Vec<Vec<(usize, f64)>>) -> Result<Self, FleetError> {
-        if upstream.is_empty() {
+    /// Validates a topology over `drives` bays.
+    fn checked(inlet: Celsius, drives: usize, topology: Topology) -> Result<Self, FleetError> {
+        if drives == 0 {
             return Err(FleetError::Config("airflow graph has no drives".into()));
         }
-        for (i, sources) in upstream.iter().enumerate() {
-            for &(j, k) in sources {
-                if j >= i {
-                    return Err(FleetError::Config(format!(
-                        "drive {i} coupled to non-upstream source {j}; \
-                         air flows forward, sources must precede sinks"
-                    )));
+        match &topology {
+            Topology::Columns { per_column, k } => {
+                if *per_column == 0 {
+                    return Err(FleetError::Config(
+                        "columns need at least one drive each".into(),
+                    ));
                 }
-                if !k.is_finite() || k < 0.0 {
-                    return Err(FleetError::Config(format!(
-                        "drive {i} has a bad coupling coefficient {k} K/W from source {j}"
-                    )));
+                coupling("k", *k)?;
+            }
+            Topology::Hierarchy(shape) => {
+                if shape.per_rack == 0 || shape.racks_per_row == 0 {
+                    return Err(FleetError::Config(
+                        "hall racks and rows need at least one member each".into(),
+                    ));
                 }
+                coupling("k_drive", shape.k_drive)?;
+                coupling("k_rack", shape.k_rack)?;
+                coupling("k_row", shape.k_row)?;
             }
         }
         Ok(Self {
             inlet,
-            topology: Topology::Flat(upstream),
+            drives,
+            topology,
         })
+    }
+
+    /// Re-checks a graph that did not come from a constructor (a
+    /// deserialized fleet state), so a crafted body fails with a typed
+    /// error instead of a panic on the first evaluation.
+    ///
+    /// # Errors
+    ///
+    /// As the constructors: no drives, empty columns / racks / rows,
+    /// non-finite or negative coefficients.
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
+        Self::checked(self.inlet, self.drives, self.topology).map(drop)
     }
 
     /// A rack → row → hall hierarchy: racks of `per_rack` drives stand
@@ -122,52 +136,26 @@ impl AirflowGraph {
         k_rack: f64,
         k_row: f64,
     ) -> Result<Self, FleetError> {
-        if drives == 0 {
-            return Err(FleetError::Config("airflow graph has no drives".into()));
-        }
-        if per_rack == 0 || racks_per_row == 0 {
-            return Err(FleetError::Config(
-                "hall racks and rows need at least one member each".into(),
-            ));
-        }
-        for (name, k) in [("k_drive", k_drive), ("k_rack", k_rack), ("k_row", k_row)] {
-            if !k.is_finite() || k < 0.0 {
-                return Err(FleetError::Config(format!(
-                    "hall coupling {name} must be finite and non-negative, got {k}"
-                )));
-            }
-        }
-        Ok(Self {
-            inlet,
-            topology: Topology::Hierarchy {
-                drives,
-                shape: HallShape {
-                    per_rack,
-                    racks_per_row,
-                    k_drive,
-                    k_rack,
-                    k_row,
-                },
-            },
-        })
+        let shape = HallShape {
+            per_rack,
+            racks_per_row,
+            k_drive,
+            k_rack,
+            k_row,
+        };
+        Self::checked(inlet, drives, Topology::Hierarchy(shape))
     }
 
     /// One serial airflow path: every drive is preheated by *all* drives
     /// before it, each contributing `1 / stream_w_per_k` kelvin per watt
-    /// — the rack-scale version of [`diskthermal::AirflowPath`].
+    /// — the rack-scale version of [`diskthermal::AirflowPath`]. This
+    /// is [`Self::columns`] with a single column.
     ///
     /// # Errors
     ///
     /// Rejects `drives == 0` and a non-positive stream capacity rate.
     pub fn serial(drives: usize, inlet: Celsius, stream_w_per_k: f64) -> Result<Self, FleetError> {
-        if stream_w_per_k <= 0.0 || !stream_w_per_k.is_finite() {
-            return Err(FleetError::Config(format!(
-                "stream capacity rate must be positive and finite, got {stream_w_per_k}"
-            )));
-        }
-        let k = 1.0 / stream_w_per_k;
-        let upstream = (0..drives).map(|i| (0..i).map(|j| (j, k)).collect()).collect();
-        Self::new(inlet, upstream)
+        Self::columns(drives, drives.max(1), inlet, stream_w_per_k)
     }
 
     /// Independent serial columns of `per_column` drives each: drive `i`
@@ -184,30 +172,18 @@ impl AirflowGraph {
         inlet: Celsius,
         stream_w_per_k: f64,
     ) -> Result<Self, FleetError> {
-        if per_column == 0 {
-            return Err(FleetError::Config("columns need at least one drive each".into()));
-        }
         if stream_w_per_k <= 0.0 || !stream_w_per_k.is_finite() {
             return Err(FleetError::Config(format!(
                 "stream capacity rate must be positive and finite, got {stream_w_per_k}"
             )));
         }
         let k = 1.0 / stream_w_per_k;
-        let upstream = (0..drives)
-            .map(|i| {
-                let column_start = i - i % per_column;
-                (column_start..i).map(|j| (j, k)).collect()
-            })
-            .collect();
-        Self::new(inlet, upstream)
+        Self::checked(inlet, drives, Topology::Columns { per_column, k })
     }
 
     /// Number of drives in the graph.
     pub fn len(&self) -> usize {
-        match &self.topology {
-            Topology::Flat(upstream) => upstream.len(),
-            Topology::Hierarchy { drives, .. } => *drives,
-        }
+        self.drives
     }
 
     /// Moves the rack inlet temperature (the "what if the CRAC setpoint
@@ -227,34 +203,40 @@ impl AirflowGraph {
     }
 
     /// Local ambient each drive sees when the fleet rejects `heats_w`
-    /// watts per drive: inlet plus the weighted upstream preheat.
+    /// watts per drive: inlet plus the weighted upstream preheat, in
+    /// O(n).
     ///
-    /// The hierarchical form evaluates in O(n) via the same per-rack
-    /// prefix-sum helpers the fleet's split-phase epoch boundary uses,
-    /// so both paths produce bit-identical temperatures.
+    /// A column's running preheat starts at `-0.0`, the start of
+    /// `f64`'s `Sum`, and adds `heat · k` bay by bay, so every ambient
+    /// equals the dense `inlet + Σ_{j above i} h_j · k` fold bit for
+    /// bit. The hierarchy uses the same per-rack prefix-sum helpers the
+    /// fleet's split-phase epoch boundary uses, so both paths produce
+    /// bit-identical temperatures.
     ///
     /// # Panics
     ///
     /// Panics if `heats_w.len()` does not match the graph.
     pub fn local_ambients(&self, heats_w: &[f64]) -> Vec<Celsius> {
         assert_eq!(heats_w.len(), self.len(), "one heat term per drive");
+        let mut out = Vec::with_capacity(heats_w.len());
         match &self.topology {
-            Topology::Flat(upstream) => upstream
-                .iter()
-                .map(|sources| {
-                    let preheat: f64 = sources.iter().map(|&(j, k)| heats_w[j] * k).sum();
-                    self.inlet + TempDelta::new(preheat)
-                })
-                .collect(),
-            Topology::Hierarchy { shape, .. } => {
+            Topology::Columns { per_column, k } => {
+                for column in heats_w.chunks(*per_column) {
+                    let mut preheat = -0.0;
+                    for &heat in column {
+                        out.push(self.inlet + TempDelta::new(preheat));
+                        preheat += heat * k;
+                    }
+                }
+            }
+            Topology::Hierarchy(shape) => {
                 let bases = self.rack_preheats(shape, &rack_heats(shape, heats_w));
-                let mut out = Vec::with_capacity(heats_w.len());
                 for (rack, chunk) in heats_w.chunks(shape.per_rack).enumerate() {
                     rack_ambients_into(self.inlet, bases[rack], shape.k_drive, chunk, &mut out);
                 }
-                out
             }
         }
+        out
     }
 
     /// The hierarchy's shape, if this graph is hierarchical. The fleet
@@ -262,8 +244,8 @@ impl AirflowGraph {
     /// pass plus a tiny serial per-level reduce.
     pub(crate) fn hall_shape(&self) -> Option<HallShape> {
         match &self.topology {
-            Topology::Flat(_) => None,
-            Topology::Hierarchy { shape, .. } => Some(*shape),
+            Topology::Columns { .. } => None,
+            Topology::Hierarchy(shape) => Some(*shape),
         }
     }
 
@@ -283,6 +265,17 @@ impl AirflowGraph {
             row_prefix += rack_prefix;
         }
         out
+    }
+}
+
+/// Rejects a coupling coefficient that is non-finite or negative.
+fn coupling(name: &str, k: f64) -> Result<(), FleetError> {
+    if k.is_finite() && k >= 0.0 {
+        Ok(())
+    } else {
+        Err(FleetError::Config(format!(
+            "airflow coupling {name} must be finite and non-negative, got {k}"
+        )))
     }
 }
 
@@ -341,68 +334,58 @@ mod tests {
     }
 
     #[test]
-    fn downstream_sources_are_rejected() {
-        let e = AirflowGraph::new(Celsius::new(28.0), vec![vec![(1, 0.1)], vec![]]);
-        assert!(matches!(e, Err(FleetError::Config(_))));
-        let e = AirflowGraph::new(Celsius::new(28.0), vec![vec![], vec![(1, 0.1)]]);
-        assert!(matches!(e, Err(FleetError::Config(_))), "self-coupling is a cycle");
-    }
-
-    #[test]
     fn bad_coefficients_and_empty_graphs_are_rejected() {
-        assert!(AirflowGraph::new(Celsius::new(28.0), vec![]).is_err());
-        assert!(AirflowGraph::new(Celsius::new(28.0), vec![vec![], vec![(0, -0.1)]]).is_err());
-        assert!(
-            AirflowGraph::new(Celsius::new(28.0), vec![vec![], vec![(0, f64::NAN)]]).is_err()
-        );
-        assert!(AirflowGraph::serial(3, Celsius::new(28.0), 0.0).is_err());
+        let inlet = Celsius::new(28.0);
+        assert!(AirflowGraph::serial(0, inlet, 20.0).is_err());
+        assert!(AirflowGraph::columns(0, 2, inlet, 20.0).is_err());
+        assert!(AirflowGraph::columns(4, 0, inlet, 20.0).is_err());
+        assert!(AirflowGraph::serial(3, inlet, 0.0).is_err());
+        assert!(AirflowGraph::serial(3, inlet, f64::NAN).is_err());
+        // A subnormal stream rate passes its own check but implies an
+        // infinite coefficient.
+        assert!(AirflowGraph::serial(3, inlet, 1e-310).is_err());
     }
 
     #[test]
     fn hall_matches_the_equivalent_flat_graph() {
-        // 2 rows of 3 racks of 2 drives. Build the dense matrix the
-        // hierarchy implies and check both forms agree bit-for-bit
+        // 2 rows of 3 racks of 2 drives. Evaluate the dense matrix the
+        // hierarchy implies term by term and check both forms agree
         // (modulo summation order, hence the 1e-9 tolerance).
         let (per_rack, racks_per_row) = (2usize, 3usize);
         let (kd, kr, kw) = (0.05, 0.02, 0.01);
         let drives = 12;
-        let hall = AirflowGraph::hall(
-            drives,
-            per_rack,
-            racks_per_row,
-            Celsius::new(28.0),
-            kd,
-            kr,
-            kw,
-        )
-        .unwrap();
-        let upstream: Vec<Vec<(usize, f64)>> = (0..drives)
-            .map(|i| {
-                let (rack_i, row_i) = (i / per_rack, i / per_rack / racks_per_row);
-                (0..i)
-                    .map(|j| {
-                        let (rack_j, row_j) = (j / per_rack, j / per_rack / racks_per_row);
-                        if rack_j == rack_i {
-                            (j, kd)
-                        } else if row_j == row_i {
-                            (j, kr)
-                        } else {
-                            (j, kw)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let flat = AirflowGraph::new(Celsius::new(28.0), upstream).unwrap();
+        let inlet = Celsius::new(28.0);
+        let hall = AirflowGraph::hall(drives, per_rack, racks_per_row, inlet, kd, kr, kw).unwrap();
+        let coupling = |i: usize, j: usize| {
+            let (rack_i, row_i) = (i / per_rack, i / per_rack / racks_per_row);
+            let (rack_j, row_j) = (j / per_rack, j / per_rack / racks_per_row);
+            if rack_j == rack_i {
+                kd
+            } else if row_j == row_i {
+                kr
+            } else {
+                kw
+            }
+        };
         let heats: Vec<f64> = (0..drives).map(|i| 6.0 + i as f64 * 0.5).collect();
-        for (i, (h, f)) in hall
-            .local_ambients(&heats)
-            .iter()
-            .zip(flat.local_ambients(&heats))
-            .enumerate()
-        {
-            assert!((h.get() - f.get()).abs() < 1e-9, "drive {i}: {h} vs {f}");
+        for (i, h) in hall.local_ambients(&heats).iter().enumerate() {
+            let dense = inlet + TempDelta::new((0..i).map(|j| heats[j] * coupling(i, j)).sum());
+            assert!(
+                (h.get() - dense.get()).abs() < 1e-9,
+                "drive {i}: {h} vs {dense}"
+            );
         }
+    }
+
+    #[test]
+    fn deserialized_graphs_are_revalidated() {
+        let g = AirflowGraph::columns(4, 2, Celsius::new(25.0), 10.0).unwrap();
+        assert!(g.validate().is_ok());
+        let json = serde_json::to_string(&g).unwrap();
+        let tampered = json.replace("\"per_column\":2", "\"per_column\":0");
+        assert_ne!(tampered, json, "the column length must be rewritten");
+        let bad: AirflowGraph = serde_json::from_str(&tampered).unwrap();
+        assert!(matches!(bad.validate(), Err(FleetError::Config(_))));
     }
 
     #[test]

@@ -379,8 +379,8 @@ struct FleetHotState {
     rack_heat: Vec<f64>,
     /// Per-rack preheat from the rack/row levels (hierarchical only).
     rack_base: Vec<f64>,
-    /// Dense per-drive ambients (flat-topology fallback).
-    flat_ambients: Vec<Celsius>,
+    /// Per-drive ambients of a column topology (serial / columns).
+    column_ambients: Vec<Celsius>,
 }
 
 impl FleetHotState {
@@ -472,7 +472,7 @@ impl FleetHotState {
 
     /// Parallel pass B: pushes the preheated ambients back into the
     /// thermal models (per-rack prefix sums for the hierarchy, the
-    /// precomputed dense ambients for flat graphs), emits each bay's
+    /// precomputed ambients for column graphs), emits each bay's
     /// boundary events into its run, and stages the coordinator's
     /// proposal for the serial commit. Hierarchy chunks align to rack
     /// boundaries so every intra-rack prefix stays on one worker and
@@ -504,11 +504,11 @@ impl FleetHotState {
             heat,
             proposals,
             rack_base,
-            flat_ambients,
+            column_ambients,
             ..
         } = self;
         let (air, heat) = (&air[..], &heat[..]);
-        let (rack_base, flat_ambients) = (&rack_base[..], &flat_ambients[..]);
+        let (rack_base, column_ambients) = (&rack_base[..], &column_ambients[..]);
 
         // One bay: couple, snapshot, propose, actuate, account.
         let one = |i: usize,
@@ -584,7 +584,7 @@ impl FleetHotState {
                 None => {
                     for (off, e) in e_c.iter_mut().enumerate() {
                         let i = start + off;
-                        one(i, e, biased(i, flat_ambients[i]), &mut q_c[off], &mut g_c[off], &mut p_c[off]);
+                        one(i, e, biased(i, column_ambients[i]), &mut q_c[off], &mut g_c[off], &mut p_c[off]);
                     }
                 }
             }
@@ -920,13 +920,7 @@ impl Fleet {
             self.enable_drive_sinks();
         }
         // Deterministic arrival order whatever the caller produced.
-        trace.sort_by(|a, b| {
-            a.arrival
-                .get()
-                .partial_cmp(&b.arrival.get())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
+        trace.sort_by(arrival_order);
         self.incoming = trace.into();
 
         loop {
@@ -1121,12 +1115,13 @@ impl Fleet {
 
         // Serial reduce 2 — the only cross-rack thermal coupling:
         // per-rack heat totals roll up into per-level preheat prefixes,
-        // O(racks). Flat graphs keep the dense evaluation.
+        // O(racks). Column graphs fold each column's running preheat,
+        // O(n).
         if let Some(shape) = self.airflow.hall_shape() {
             self.hot.rack_heat = rack_heats(&shape, &self.hot.heat);
             self.hot.rack_base = self.airflow.rack_preheats(&shape, &self.hot.rack_heat);
         } else {
-            self.hot.flat_ambients = self.airflow.local_ambients(&self.hot.heat);
+            self.hot.column_ambients = self.airflow.local_ambients(&self.hot.heat);
         }
 
         // Parallel pass B — ambient push-back, boundary events, and
@@ -1455,6 +1450,7 @@ impl Fleet {
             return Err(FleetError::Config("fleet state has no enclosures".into()));
         }
         let n = state.enclosures.len();
+        state.airflow.validate()?;
         if state.airflow.len() != n {
             return Err(FleetError::Config(format!(
                 "airflow graph covers {} drives but the state carries {n} enclosures",
@@ -1521,6 +1517,16 @@ fn bay_config(spec: &DiskSpec, array: Option<EnclosureArray>) -> Result<SystemCo
         Some(a) => SystemConfig::raid5(spec.clone(), a.disks, a.stripe_sectors)?,
         None => SystemConfig::single_disk(spec.clone()),
     })
+}
+
+/// The fleet's arrival order: arrival time, then request id. A total
+/// order even over NaN arrivals, so the sorted trace never depends on
+/// the order the caller produced it in.
+fn arrival_order(a: &Request, b: &Request) -> std::cmp::Ordering {
+    a.arrival
+        .get()
+        .total_cmp(&b.arrival.get())
+        .then(a.id.cmp(&b.id))
 }
 
 /// Remaps a fleet-logical request onto one drive: device 0 and an LBA
@@ -1800,6 +1806,31 @@ mod tests {
             serde_json::to_string(&fleet.report()).unwrap()
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn nan_arrivals_sort_deterministically() {
+        // Arrival times run against id order, so a comparator that let a
+        // NaN fall through to the id tie-break would be cyclic here and
+        // the sorted trace would depend on the input order. Under the
+        // total order every permutation sorts the same, NaN last.
+        let mut base: Vec<Request> = trace(5, 100.0)
+            .into_iter()
+            .map(|r| Request::new(r.id, Seconds::new((4 - r.id) as f64 * 0.01), 0, 0, 8, r.kind))
+            .collect();
+        base[2] = Request::new(2, Seconds::new(f64::NAN), 0, 0, 8, RequestKind::Read);
+        let ids = |t: &[Request]| t.iter().map(|r| r.id).collect::<Vec<_>>();
+        for rot in 0..base.len() {
+            for reversed in [false, true] {
+                let mut t = base.clone();
+                t.rotate_left(rot);
+                if reversed {
+                    t.reverse();
+                }
+                t.sort_by(arrival_order);
+                assert_eq!(ids(&t), [4, 3, 1, 0, 2], "rotation {rot}, reversed {reversed}");
+            }
+        }
     }
 
     #[test]

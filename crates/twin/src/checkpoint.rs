@@ -41,7 +41,13 @@ pub const CHECKPOINT_MAGIC: &str = "DISKTWIN";
 ///   be read as version 3; old files fail fast with a typed
 ///   [`CheckpointError::VersionMismatch`] instead of a JSON parse
 ///   error.
-pub const STATE_VERSION: u32 = 3;
+/// - 4: the fleet's serial airflow graph stopped storing one explicit
+///   `(source, K/W)` list per drive (a `Flat` topology, O(n²) in the
+///   fleet size) and became an implied `Columns` topology: a column
+///   length and one coefficient. Version-3 bodies carry the lists,
+///   which no longer parse, so they fail as
+///   [`CheckpointError::VersionMismatch`].
+pub const STATE_VERSION: u32 = 4;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

@@ -305,14 +305,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Serializes any response type onto one line. A failed write just ends
-/// the connection — the client went away.
+/// Serializes any response type onto one line and sends it.
 fn reply<T: serde::Serialize>(stream: &mut TcpStream, msg: &T) -> bool {
-    let line = serde_json::to_string(msg).unwrap_or_default();
-    stream
-        .write_all(line.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .is_ok()
+    send_line(stream, serde_json::to_string(msg).unwrap_or_default())
+}
+
+/// Sends one response line, newline included, in a single write — a
+/// trailing second write would wait out the client's delayed ACK. A
+/// failed write just ends the connection — the client went away.
+fn send_line(stream: &mut TcpStream, mut line: String) -> bool {
+    line.push('\n');
+    stream.write_all(line.as_bytes()).is_ok()
 }
 
 fn reply_err(stream: &mut TcpStream, e: &TwinError) -> bool {
@@ -327,6 +330,8 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     // instead of holding a thread (and the epoch loop never notices).
     let _ = stream.set_read_timeout(Some(io_timeout));
     let _ = stream.set_write_timeout(Some(io_timeout));
+    // Replies are whole lines; send each as soon as it is written.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -357,11 +362,10 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
             "whatif" => handle_whatif(&mut writer, shared, &msg),
             "checkpoint" => handle_checkpoint(&mut writer, shared),
             "metrics" => {
+                // Serialize under the lock, write after releasing it: a
+                // slow reader must not hold up the epoch thread.
                 let json = serde_json::to_string(&*shared.metrics_lock()).unwrap_or_default();
-                writer
-                    .write_all(json.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .is_ok()
+                send_line(&mut writer, json)
             }
             "shutdown" => {
                 // Acknowledge first, then stop taking input on this
@@ -541,8 +545,7 @@ pub fn query_line(addr: &str, line: &str, timeout: Duration) -> Result<String, T
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    stream.write_all(line.trim().as_bytes())?;
-    stream.write_all(b"\n")?;
+    stream.write_all(format!("{}\n", line.trim()).as_bytes())?;
     let mut reader = BufReader::new(stream);
     let mut response = String::new();
     reader.read_line(&mut response)?;

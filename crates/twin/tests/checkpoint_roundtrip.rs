@@ -6,7 +6,7 @@
 use disksim::{DiskSpec, Request, RequestKind, StorageSystem, SystemConfig};
 use disktwin::{
     decode, encode, read_checkpoint, write_checkpoint, CheckpointError, Twin, TwinConfig,
-    STATE_VERSION,
+    CHECKPOINT_MAGIC, STATE_VERSION,
 };
 use proptest::prelude::*;
 use units::{Rpm, Seconds};
@@ -200,7 +200,7 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
     let header_end = good.iter().position(|&b| b == b'\n').unwrap();
     let header = String::from_utf8(good[..header_end].to_vec()).unwrap();
     let current = format!(" {STATE_VERSION} ");
-    for old in [1u32, 2, 999] {
+    for old in [1u32, 2, 3, 999] {
         let bumped = header.replacen(&current, &format!(" {old} "), 1);
         assert_ne!(bumped, header, "the version field must be rewritten");
         let mut wrong_version = bumped.into_bytes();
@@ -217,6 +217,45 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
         Err(CheckpointError::BadHeader(_))
     ));
     assert!(matches!(decode(b""), Err(CheckpointError::BadHeader(_))));
+}
+
+/// FNV-1a over `bytes`, the checkpoint header's body checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A well-formed checkpoint file of `version` around `body`.
+fn with_header(version: u32, body: &str) -> Vec<u8> {
+    let checksum = fnv1a(body.as_bytes());
+    format!("{CHECKPOINT_MAGIC} {version} {} {checksum:016x}\n{body}\n", body.len()).into_bytes()
+}
+
+#[test]
+fn version_3_checkpoints_fail_as_a_version_mismatch() {
+    // Version 3 stored the serial airflow graph as one explicit
+    // `(source, K/W)` list per drive. Rebuild that shape from a current
+    // body, behind a header whose length and checksum are right.
+    let good = sample_bytes();
+    let newline = good.iter().position(|&b| b == b'\n').unwrap();
+    let body = std::str::from_utf8(&good[newline + 1..good.len() - 1]).unwrap();
+    assert_eq!(with_header(STATE_VERSION, body), good, "the header is rebuilt exactly");
+    let start = body.find("{\"Columns\":").expect("the serial graph is a column topology");
+    let end = start + body[start..].find("}}").expect("the topology object closes") + 2;
+    let flat = r#"{"Flat":[[],[[0,0.1]],[[0,0.1],[1,0.1]]]}"#;
+    let v3_body = format!("{}{flat}{}", &body[..start], &body[end..]);
+
+    match decode(&with_header(3, &v3_body)) {
+        Err(CheckpointError::VersionMismatch { found }) => assert_eq!(found, 3),
+        other => panic!("a version-3 file must be refused as VersionMismatch, got {other:?}"),
+    }
+    // The typed refusal is what stands between the old body and the
+    // parser: read as the current version it does not parse.
+    assert!(matches!(
+        decode(&with_header(STATE_VERSION, &v3_body)),
+        Err(CheckpointError::BadBody(_))
+    ));
 }
 
 #[test]

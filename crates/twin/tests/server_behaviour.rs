@@ -181,3 +181,37 @@ fn malformed_requests_get_typed_errors_and_shutdown_checkpoints() {
     assert!(final_state.epoch() >= 1, "the final checkpoint is warm");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn sequential_round_trips_on_one_connection_do_not_stall() {
+    // A reply written as the line and then its newline holds the
+    // newline until the client's delayed ACK: about 40 ms a round trip,
+    // 2 s for these 50. Each reply must leave as one no-delay write.
+    let server = start_server(ServerConfig::default());
+    wait_for_epoch(&server, 1);
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("no delay");
+    stream.set_read_timeout(Some(QUERY_TIMEOUT)).expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    let started = Instant::now();
+    for round in 0..50 {
+        // Alternate the two commands that answer without a fork.
+        let (query, expect) = if round % 2 == 0 {
+            ("{\"cmd\":\"status\"}\n", "\"epoch\"")
+        } else {
+            ("{\"cmd\":\"metrics\"}\n", "\"counters\"")
+        };
+        writer.write_all(query.as_bytes()).expect("send");
+        line.clear();
+        reader.read_line(&mut line).expect("answer");
+        assert!(line.contains(expect), "round {round} answered {line}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 round trips took {elapsed:?}; replies are stalling"
+    );
+    server.stop();
+}

@@ -14,6 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> python3 perfbench/smoke.py"
+# The repository benchmark at reduced size, both modes: every workload
+# must print every named metric, and the small rebuild/hall reference
+# episodes must match the digests in perfbench/reference.json, so a
+# change that shifts a result bit fails here.
+python3 perfbench/smoke.py
+
 echo "==> cargo test -q -p disklab --test lab_determinism"
 # Fleet + engine determinism: threads=1 vs threads=8 byte-identical,
 # repeat runs served entirely from cache.

@@ -12,6 +12,10 @@
 //! A third subject pins the surrogate training sweep's per-point
 //! target reduction (`disklab::sweep::reduce_targets`) to the same
 //! budget once its scratch buffers are warm.
+//! A fourth subject pins fleet set-up: `FleetConfig::serial` implies
+//! its serial airflow chain instead of storing per-drive coupling
+//! lists, so configuring 10,000 drives allocates no more than
+//! configuring 16.
 //!
 //! Everything lives in one `#[test]` function: the counter is global,
 //! and the test harness runs sibling tests on other threads, which
@@ -227,4 +231,27 @@ fn steady_state_windows_allocate_nothing() {
         scratch.values.iter().all(|v| v.is_finite()),
         "reduced targets stay finite"
     );
+
+    // --- Subject 4: configuring a fleet. ---
+    // A stored coupling list per drive would make this n + 1
+    // allocations (about 800 MB at 10,000 drives); the chain is
+    // implied, so the count must not grow with the fleet. Specs are
+    // built outside the measured region.
+    let spec = DiskSpec::era(2002, 1, Rpm::new(15_020.0));
+    let thermal = DriveThermalSpec::new(Inches::new(2.6), 1);
+    let config_allocs = |drives: usize| {
+        let spec = spec.clone();
+        let before = allocations();
+        let config = diskfleet::FleetConfig::serial(drives, spec, thermal, 10.0)
+            .expect("valid fleet config");
+        let allocs = allocations() - before;
+        assert_eq!(config.airflow.len(), drives);
+        allocs
+    };
+    let (small, large) = (config_allocs(16), config_allocs(10_000));
+    assert_eq!(
+        small, large,
+        "fleet config allocations grow with the fleet: {small} at 16 drives, {large} at 10,000"
+    );
+    assert!(large <= 4, "fleet config made {large} allocations");
 }
