@@ -2,6 +2,7 @@
 
 use disksim::SimError;
 use std::fmt;
+use units::Seconds;
 
 /// Everything that can go wrong assembling or running a fleet.
 #[derive(Debug)]
@@ -21,6 +22,15 @@ pub enum FleetError {
         /// Enclosures in the fleet.
         fleet: usize,
     },
+    /// A batch run reached its 24-hour simulated-time cap with
+    /// requests still outstanding.
+    TimeCapReached {
+        /// Simulated time when the cap fired.
+        now: Seconds,
+        /// Requests not yet completed: unrouted, queued at a bay, or
+        /// in flight at a drive.
+        backlog: u64,
+    },
 }
 
 impl fmt::Display for FleetError {
@@ -31,6 +41,12 @@ impl fmt::Display for FleetError {
             FleetError::NoSuchEnclosure { enclosure, fleet } => {
                 write!(f, "enclosure {enclosure} requested but the fleet has {fleet}")
             }
+            FleetError::TimeCapReached { now, backlog } => write!(
+                f,
+                "run stopped at the simulated-time cap ({:.0} s) with {backlog} \
+                 request(s) outstanding",
+                now.get()
+            ),
         }
     }
 }

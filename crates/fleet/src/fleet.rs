@@ -60,6 +60,10 @@ impl Default for RebuildSpec {
     }
 }
 
+/// Simulated time after which a batch [`Fleet::run`] gives up on an
+/// undrained trace and returns [`FleetError::TimeCapReached`].
+const RUN_TIME_CAP: Seconds = Seconds::new(24.0 * 3600.0);
+
 /// Requests the rebuild scan injects carry ids at or above this base so
 /// the statistics folds can keep background reconstruction I/O out of
 /// the foreground response-time numbers.
@@ -670,6 +674,35 @@ pub struct FleetReport {
     pub per_enclosure: Vec<EnclosureReport>,
 }
 
+/// The fleet's response-time statistics, borrowed from its enclosures
+/// (see [`Fleet::stats`]). The per-epoch status read needs only the
+/// completion count, which is O(enclosures) and allocation-free;
+/// percentiles need the merged reservoir.
+#[derive(Clone, Copy)]
+pub struct FleetStats<'a> {
+    enclosures: &'a [Enclosure],
+}
+
+impl FleetStats<'_> {
+    /// Completed requests across the fleet. A merge adds counts
+    /// exactly, so this equals `self.merged().count()`.
+    pub fn count(&self) -> u64 {
+        self.enclosures.iter().map(|e| e.stats.count()).sum()
+    }
+
+    /// The per-enclosure folds merged in enclosure order, which is
+    /// deterministic at any shard count. Merging walks every bay's
+    /// reservoir (up to 64k samples each), so the per-epoch status read
+    /// does not call this; [`Fleet::report`] and what-if forks do.
+    pub fn merged(&self) -> ResponseStats {
+        let mut total = ResponseStats::new();
+        for e in self.enclosures {
+            total.merge(&e.stats);
+        }
+        total
+    }
+}
+
 /// Wall-clock spent in each phase of a fleet run: the parallel
 /// per-enclosure window sweeps versus the serial epoch-boundary work
 /// (routing, completion folding, airflow coupling, coordination). The
@@ -863,9 +896,10 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Currently infallible after construction (remapping keeps every
-    /// submission in range); the `Result` reserves room for trace
-    /// validation.
+    /// Returns [`FleetError::TimeCapReached`] when the trace has not
+    /// drained after 24 hours of simulated time (a fleet gated
+    /// forever, or arrivals past the cap), rather than a report that
+    /// silently leaves requests unserved.
     pub fn run(self, trace: Vec<Request>) -> Result<FleetReport, FleetError> {
         let mut sink = diskobs::Sink::null();
         self.run_with_sink(trace, &mut sink)
@@ -928,9 +962,13 @@ impl Fleet {
             if self.is_drained() {
                 break;
             }
-            // Safety cap: a fleet gated forever still terminates.
-            if self.now.get() > 24.0 * 3600.0 {
-                break;
+            // Safety cap: a fleet gated forever still terminates, and
+            // says so.
+            if self.now > RUN_TIME_CAP {
+                return Err(FleetError::TimeCapReached {
+                    now: self.now,
+                    backlog: self.backlog(),
+                });
             }
         }
 
@@ -974,6 +1012,17 @@ impl Fleet {
                 .enclosures
                 .iter()
                 .all(|e| e.pending.is_empty() && e.drive.in_flight() == 0)
+    }
+
+    /// Requests not yet completed: unrouted, queued at a bay, or in
+    /// flight at a drive.
+    fn backlog(&self) -> u64 {
+        self.incoming.len() as u64
+            + self
+                .enclosures
+                .iter()
+                .map(|e| e.pending.len() as u64 + e.drive.in_flight())
+                .sum::<u64>()
     }
 
     /// Advances the fleet through exactly one sync epoch: commits the
@@ -1216,7 +1265,7 @@ impl Fleet {
 
         FleetReport {
             enclosures: n,
-            stats: self.stats(),
+            stats: self.stats().merged(),
             max_air,
             peak_local_ambient,
             mean_air,
@@ -1227,15 +1276,14 @@ impl Fleet {
         }
     }
 
-    /// Response-time statistics accumulated so far: the per-enclosure
-    /// folds merged in enclosure order, which is deterministic at any
-    /// shard count.
-    pub fn stats(&self) -> ResponseStats {
-        let mut total = ResponseStats::new();
-        for e in &self.enclosures {
-            total.merge(&e.stats);
+    /// Response-time statistics accumulated so far, as a borrowed view
+    /// over the per-enclosure folds. Reading [`FleetStats::count`] costs
+    /// one add per enclosure; only [`FleetStats::merged`] pays for
+    /// merging the reservoirs.
+    pub fn stats(&self) -> FleetStats<'_> {
+        FleetStats {
+            enclosures: &self.enclosures,
         }
-        total
     }
 
     /// Discards the accumulated response-time statistics. What-if forks
@@ -1831,6 +1879,26 @@ mod tests {
                 assert_eq!(ids(&t), [4, 3, 1, 0, 2], "rotation {rot}, reversed {reversed}");
             }
         }
+    }
+
+    #[test]
+    fn a_trace_past_the_time_cap_fails_instead_of_reporting_nothing() {
+        // The only arrival lands at 25 h, an hour past the cap: the run
+        // must say the cap fired, not "complete" with nothing served.
+        // Half-hour epochs keep the 24 simulated hours to 49 steps.
+        let mut cfg = config(1, 15_020.0, 12.0);
+        cfg.window = Seconds::new(300.0);
+        cfg.windows_per_epoch = 6;
+        let late = Request::new(0, Seconds::new(25.0 * 3600.0), 0, 0, 8, RequestKind::Read);
+        let err = Fleet::new(cfg).unwrap().run(vec![late]).unwrap_err();
+        match err {
+            FleetError::TimeCapReached { now, backlog } => {
+                assert!(now > RUN_TIME_CAP && now < late.arrival, "cap fired at {now:?}");
+                assert_eq!(backlog, 1);
+            }
+            ref other => panic!("expected the time cap to fire, got {other:?}"),
+        }
+        assert!(err.to_string().contains("with 1 request(s) outstanding"), "{err}");
     }
 
     #[test]

@@ -58,6 +58,6 @@ pub use error::FleetError;
 pub use hall::HallSpec;
 pub use fleet::{
     EnclosureArray, EnclosureReport, Fleet, FleetConfig, FleetPhaseProfile, FleetReport,
-    FleetState, Rebuild, RebuildSpec, REBUILD_ID_BASE,
+    FleetState, FleetStats, Rebuild, RebuildSpec, REBUILD_ID_BASE,
 };
 pub use routing::{DriveSnapshot, Router, RoutingPolicy};

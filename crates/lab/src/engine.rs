@@ -31,7 +31,9 @@ pub struct Engine {
 
 /// Everything one engine run produced, beyond the files on disk.
 pub struct RunSummary {
-    /// The manifest, as written to `results/manifest.json`.
+    /// This run's manifest: an entry per experiment that ran. The
+    /// `manifest.json` on disk also keeps the entries of experiments
+    /// this run did not touch.
     pub manifest: Manifest,
     /// `(name, text report)` pairs in manifest (name) order.
     pub reports: Vec<(String, String)>,
@@ -74,7 +76,10 @@ impl Engine {
     }
 
     /// Runs every experiment across the worker pool, writes all result
-    /// files plus `manifest.json`, and returns the summary.
+    /// files, updates `manifest.json`, and returns the summary. The
+    /// manifest update replaces the entries of the experiments that ran
+    /// and keeps every other entry already on disk, so a partial run
+    /// never drops the record of artifacts it did not regenerate.
     ///
     /// All experiments are attempted even if one fails; the first
     /// failure (in submission order) is then reported.
@@ -137,9 +142,14 @@ impl Engine {
             total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
             experiments: entries,
         };
+        let manifest_path = self.results_dir.join("manifest.json");
+        let merged = Manifest {
+            experiments: merge_entries(previous_entries(&manifest_path), &manifest.experiments),
+            ..manifest.clone()
+        };
         let manifest_json =
-            serde_json::to_string_pretty(&manifest).map_err(|e| LabError::Parse(e.to_string()))?;
-        fs::write(self.results_dir.join("manifest.json"), manifest_json)?;
+            serde_json::to_string_pretty(&merged).map_err(|e| LabError::Parse(e.to_string()))?;
+        fs::write(manifest_path, manifest_json)?;
 
         Ok(RunSummary {
             manifest,
@@ -266,6 +276,28 @@ fn read_cached(path: &Path) -> Result<RunOutput, LabError> {
     Ok(RunOutput { json, files, text })
 }
 
+/// The entries of the manifest already at `path`; none when it is
+/// missing or unreadable (it is rewritten whole either way).
+fn previous_entries(path: &Path) -> Vec<ManifestEntry> {
+    fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<Manifest>(&text).ok())
+        .map(|m| m.experiments)
+        .unwrap_or_default()
+}
+
+/// `previous` with every entry named in `ran` replaced by its new
+/// record, in name order.
+fn merge_entries(previous: Vec<ManifestEntry>, ran: &[ManifestEntry]) -> Vec<ManifestEntry> {
+    let mut entries: Vec<ManifestEntry> = previous
+        .into_iter()
+        .filter(|old| ran.iter().all(|new| new.name != old.name))
+        .chain(ran.iter().cloned())
+        .collect();
+    entries.sort_by(|a, b| a.name.cmp(&b.name));
+    entries
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,20 +307,25 @@ mod tests {
     use std::sync::Arc;
 
     struct Counting {
+        name: &'static str,
         id: u64,
         runs: Arc<AtomicUsize>,
     }
 
     impl Counting {
         fn boxed(id: u64) -> (Box<dyn Experiment>, Arc<AtomicUsize>) {
+            Counting::named("counting", id)
+        }
+
+        fn named(name: &'static str, id: u64) -> (Box<dyn Experiment>, Arc<AtomicUsize>) {
             let runs = Arc::new(AtomicUsize::new(0));
-            (Box::new(Counting { id, runs: runs.clone() }), runs)
+            (Box::new(Counting { name, id, runs: runs.clone() }), runs)
         }
     }
 
     impl Experiment for Counting {
         fn name(&self) -> &'static str {
-            "counting"
+            self.name
         }
         fn config(&self) -> Value {
             config_object(vec![("id", self.id.to_value())])
@@ -357,6 +394,32 @@ mod tests {
             "counting.json".to_string(),
             "counting.txt".to_string()
         ]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_partial_run_keeps_every_other_manifest_entry() {
+        let dir = scratch("partial");
+        let engine = Engine::at(&dir).use_cache(false);
+        let names = ["alpha", "beta", "gamma"];
+        let full = engine
+            .run(names.iter().map(|n| Counting::named(n, 1).0).collect())
+            .unwrap();
+        let partial = engine.run(vec![Counting::named("beta", 2).0]).unwrap();
+        assert_eq!(partial.manifest.experiments.len(), 1, "the summary covers this run");
+
+        let text = fs::read_to_string(dir.join("manifest.json")).unwrap();
+        let on_disk: Manifest = serde_json::from_str(&text).unwrap();
+        let digests = |m: &Manifest| {
+            m.experiments
+                .iter()
+                .map(|e| (e.name.clone(), e.digest.clone()))
+                .collect::<Vec<_>>()
+        };
+        let mut expected = digests(&full.manifest);
+        expected[1] = digests(&partial.manifest)[0].clone();
+        assert_ne!(expected[1], digests(&full.manifest)[1], "beta's config changed");
+        assert_eq!(digests(&on_disk), expected);
         let _ = fs::remove_dir_all(&dir);
     }
 

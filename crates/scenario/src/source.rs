@@ -37,16 +37,24 @@ impl ReplaySource {
     ///
     /// # Errors
     ///
-    /// Rejects an empty trace — there is no period to loop over.
+    /// Rejects an empty trace — there is no period to loop over — and
+    /// any non-finite arrival, which would make the period NaN or
+    /// infinite.
     pub fn new(mut trace: Vec<Request>) -> Result<Self, String> {
         if trace.is_empty() {
             return Err("cannot replay an empty trace".into());
         }
+        if let Some(r) = trace.iter().find(|r| !r.arrival.get().is_finite()) {
+            return Err(format!(
+                "request {} has a non-finite arrival ({})",
+                r.id,
+                r.arrival.get()
+            ));
+        }
         trace.sort_by(|a, b| {
             a.arrival
                 .get()
-                .partial_cmp(&b.arrival.get())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&b.arrival.get())
                 .then(a.id.cmp(&b.id))
         });
         let last = trace.last().expect("non-empty").arrival.get();
@@ -215,6 +223,40 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn replay_sorts_by_arrival_then_id_whatever_the_input_order() {
+        // Pairs of requests share an arrival, so the id tie-break
+        // decides their order; every rotation and reversal of the
+        // recording must replay the same sequence.
+        let base: Vec<Request> = record(6)
+            .into_iter()
+            .map(|r| Request::new(r.id, Seconds::new((r.id / 2) as f64), 0, 0, 8, r.kind))
+            .collect();
+        for rot in 0..base.len() {
+            for reversed in [false, true] {
+                let mut t = base.clone();
+                t.rotate_left(rot);
+                if reversed {
+                    t.reverse();
+                }
+                let mut src = ReplaySource::new(t).unwrap();
+                let ids: Vec<u64> = (0..6).map(|_| src.next_request().id).collect();
+                assert_eq!(ids, [0, 1, 2, 3, 4, 5], "rotation {rot}, reversed {reversed}");
+                assert!(src.period().get().is_finite());
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut t = record(4);
+            t[3] = Request::new(3, Seconds::new(bad), 0, 0, 8, RequestKind::Read);
+            let err = ReplaySource::new(t).unwrap_err();
+            assert!(err.contains("non-finite"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Cross-shard determinism and end-to-end behavior of the scenario
 //! engine: a perturbed run (failure + cooling + traffic) must be
-//! byte-identical at any shard count, and the perturbations must
-//! actually move the physics.
+//! byte-identical at any shard count, the perturbations must actually
+//! move the physics, and the per-epoch completion count must agree
+//! with the merged statistics.
 
 use diskfleet::{EnclosureArray, Fleet, FleetConfig, RebuildSpec};
 use diskscenario::{
@@ -155,4 +156,53 @@ fn failure_injections_surface_fleet_errors() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("enclosure 99"));
+}
+
+/// The three ways to count completions must agree: the O(enclosures)
+/// status read, the merged reservoir, and the full report.
+fn assert_counts_agree(fleet: &Fleet) -> u64 {
+    let stats = fleet.stats();
+    let count = stats.count();
+    assert_eq!(count, stats.merged().count(), "status count vs merged reservoir");
+    assert_eq!(count, fleet.report().stats.count(), "status count vs report");
+    count
+}
+
+#[test]
+fn status_count_equals_the_merged_and_reported_counts_every_epoch() {
+    let mut runs = Vec::new();
+    for threads in [1, 4] {
+        let mut fleet = fleet(threads);
+        let mut src = source();
+        let mut engine = ScenarioEngine::new(storm_scenario());
+        let mut samples = Vec::new();
+        let mut counts = Vec::new();
+        for epoch in 0..EPOCHS {
+            if epoch == EPOCHS / 2 {
+                fleet.reset_stats();
+                assert_eq!(assert_counts_agree(&fleet), 0, "reset clears every bay");
+            }
+            // One epoch per call so every boundary can be read. Each
+            // call starts a fresh arrival draw, so the lookahead the
+            // previous call held is dropped; both shard counts drop the
+            // same requests.
+            run_scenario(
+                &mut fleet,
+                &mut src,
+                &mut engine,
+                1,
+                &mut diskobs::Sink::null(),
+                &mut samples,
+            )
+            .unwrap();
+            let count = assert_counts_agree(&fleet);
+            assert_eq!(count, samples.last().unwrap().completed, "sampled count");
+            counts.push(count);
+        }
+        let half = EPOCHS as usize / 2;
+        assert!(counts[half - 1] > 0 && counts[EPOCHS as usize - 1] > 0, "{counts:?}");
+        assert!(samples.iter().any(|s| s.rebuild_total > 0), "the storm rebuilds");
+        runs.push(counts);
+    }
+    assert_eq!(runs[0], runs[1], "counts diverge across shard counts");
 }

@@ -34,6 +34,14 @@ echo "==> cargo run --release --bin lab -- run fleet_routing"
 # results/fleet_routing.json byte for byte.
 cargo run --release --bin lab -- run fleet_routing
 
+echo "==> cargo run --release --bin lab -- run scenario_rebuild"
+# The heaviest committed experiment, regenerated at full scale: its
+# payload, timeseries and report must match the committed files byte
+# for byte.
+cargo run --release --bin lab -- run scenario_rebuild --no-cache
+git diff --exit-code -- results/scenario_rebuild.json results/scenario_rebuild.csv \
+    results/scenario_rebuild.txt
+
 echo "==> cargo test -q -p disklab --test lab_determinism trace_bytes"
 # Trace determinism: the instrumented event stream must be
 # byte-identical at any shard count.

@@ -16,6 +16,10 @@
 //! its serial airflow chain instead of storing per-drive coupling
 //! lists, so configuring 10,000 drives allocates no more than
 //! configuring 16.
+//! A fifth subject pins the per-epoch status read the scenario engine
+//! samples (completion count, peak air and ambient, engagement,
+//! rebuild progress): it sums per-enclosure figures and must not touch
+//! the heap, where merging the response reservoirs would.
 //!
 //! Everything lives in one `#[test]` function: the counter is global,
 //! and the test harness runs sibling tests on other threads, which
@@ -254,4 +258,37 @@ fn steady_state_windows_allocate_nothing() {
         "fleet config allocations grow with the fleet: {small} at 16 drives, {large} at 10,000"
     );
     assert!(large <= 4, "fleet config made {large} allocations");
+
+    // --- Subject 5: the per-epoch fleet status read. ---
+    // Step a small fleet until its bays hold completions, then read
+    // the status the way `run_scenario` does.
+    let config =
+        diskfleet::FleetConfig::serial(4, spec, thermal, 12.0).expect("valid fleet config");
+    let mut fleet = diskfleet::Fleet::new(config).expect("valid fleet");
+    fleet.offer(trace(2_000, 400.0, 1 << 30));
+    let mut profile = diskfleet::FleetPhaseProfile::default();
+    for _ in 0..4 {
+        fleet.step_epoch(&mut diskobs::Sink::null(), &mut profile);
+    }
+    let status = |fleet: &diskfleet::Fleet| {
+        let rebuilt: u64 = fleet.rebuilds().iter().map(|rb| rb.done()).sum();
+        (
+            fleet.stats().count(),
+            fleet.peak_air(),
+            fleet.peak_local_ambient(),
+            fleet.engaged_count(),
+            rebuilt,
+        )
+    };
+    let warm = status(&fleet);
+    assert!(warm.0 > 0, "the fleet completed requests before the read");
+    let before = allocations();
+    for _ in 0..64 {
+        std::hint::black_box(status(std::hint::black_box(&fleet)));
+    }
+    let status_allocs = allocations() - before;
+    assert_eq!(
+        status_allocs, 0,
+        "the per-epoch status read allocated {status_allocs} times"
+    );
 }
