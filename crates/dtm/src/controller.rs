@@ -11,6 +11,7 @@
 //! is available.
 
 use crate::driver::WindowedDrive;
+use crate::hysteresis::Hysteresis;
 use crate::throttle::ThrottlePolicy;
 use disksim::{Completion, EnergyMeter, EnergyModel, EnergyReport, Request, ResponseStats, SimError, StorageSystem};
 use diskthermal::{NodeTemps, TempSensor, ThermalModel};
@@ -185,9 +186,40 @@ impl DtmController {
         let mut completions: Vec<Completion> = Vec::new();
         let disks = self.drive.system().disks().len() as f64;
 
-        let mut throttled = false;
-        let mut boosted = false;
-        let mut scaled_down = false;
+        // Every policy is one hysteresis band, engaged while gated,
+        // downshifted, or (slack ramp) back at base speed: its guard
+        // below the envelope, resume margin, and the speeds set on
+        // engaging and on releasing. The slack ramp boosts again half a
+        // margin below its trip point.
+        let band = match self.policy {
+            DtmPolicy::None => None,
+            DtmPolicy::Throttle {
+                mechanism,
+                guard,
+                resume_margin,
+            } => {
+                let low = match mechanism {
+                    ThrottlePolicy::VcmAndRpm { low, .. } => Some(low),
+                    ThrottlePolicy::VcmOnly { .. } => None,
+                };
+                Some((guard, resume_margin, low, self.service_rpm))
+            }
+            DtmPolicy::SlackRamp {
+                base,
+                high,
+                slack_margin,
+            } => Some((slack_margin, slack_margin * 0.5, Some(base), high)),
+            DtmPolicy::SpeedScale {
+                high,
+                low,
+                guard,
+                resume_margin,
+            } => Some((guard, resume_margin, Some(low), high)),
+        };
+        let gating = matches!(self.policy, DtmPolicy::Throttle { .. });
+        let ramping = matches!(self.policy, DtmPolicy::SlackRamp { .. });
+        let scaling = matches!(self.policy, DtmPolicy::SpeedScale { .. });
+        let mut engaged = false;
         let mut time_throttled = Seconds::ZERO;
         let mut time_boosted = Seconds::ZERO;
         let mut time_over = Seconds::ZERO;
@@ -201,15 +233,10 @@ impl DtmController {
             ..EnergyModel::default()
         });
 
-        // Apply the starting speed of speed-modulating policies.
-        match self.policy {
-            DtmPolicy::SlackRamp { high, .. } => {
-                // Start boosted: the drive is presumed cold.
-                self.drive.set_all_rpm(high);
-                boosted = true;
-            }
-            DtmPolicy::SpeedScale { high, .. } => self.drive.set_all_rpm(high),
-            _ => {}
+        // Apply the starting speed of speed-modulating policies (the
+        // slack ramp starts boosted: the drive is presumed cold).
+        if let DtmPolicy::SlackRamp { high, .. } | DtmPolicy::SpeedScale { high, .. } = self.policy {
+            self.drive.set_all_rpm(high);
         }
 
         loop {
@@ -219,7 +246,7 @@ impl DtmController {
             //    end unless gated. Original arrival timestamps are
             //    preserved, so time spent waiting at the admission gate
             //    is part of the response time the policy costs.
-            if !throttled {
+            if !(gating && engaged) {
                 self.drive.admit_until(&mut pending, window_end)?;
             }
 
@@ -260,91 +287,49 @@ impl DtmController {
                     util: sample.util,
                     duty: sample.duty,
                     rpm: sample.rpm.get(),
-                    gated: throttled,
+                    gated: gating && engaged,
                 });
             }
-            if throttled {
+            if gating && engaged {
                 time_throttled += self.window;
             }
-            if boosted {
+            if ramping && !engaged {
                 time_boosted += self.window;
             }
 
             // 5. Policy.
-            let was_throttled = throttled;
-            let was_boosted = boosted;
-            let was_scaled = scaled_down;
-            match self.policy {
-                DtmPolicy::None => {}
-                DtmPolicy::Throttle {
-                    mechanism,
-                    guard,
-                    resume_margin,
-                } => {
-                    let trip = self.envelope - guard;
-                    if !throttled && air >= trip {
-                        throttled = true;
-                        if let ThrottlePolicy::VcmAndRpm { low, .. } = mechanism {
-                            self.drive.set_all_rpm(low);
+            if let Some((guard, resume_margin, engage_rpm, release_rpm)) = band {
+                let step = Hysteresis::step(engaged, air, self.envelope - guard, resume_margin);
+                let rpm = match step {
+                    Hysteresis::Engage => engage_rpm,
+                    Hysteresis::Release => Some(release_rpm),
+                    Hysteresis::Hold => None,
+                };
+                if let Some(rpm) = rpm {
+                    self.drive.set_all_rpm(rpm);
+                }
+                if step != Hysteresis::Hold {
+                    engaged = step == Hysteresis::Engage;
+                    sink.emit(window_end, || {
+                        let (drive, sensed_c) = (scope, air.get());
+                        let action = |on, off| diskobs::Event::CoordinatorAction {
+                            drive,
+                            action: if engaged { on } else { off },
+                        };
+                        match self.policy {
+                            DtmPolicy::Throttle { .. } if engaged => {
+                                diskobs::Event::ThrottleEngage { drive, sensed_c }
+                            }
+                            DtmPolicy::Throttle { .. } => {
+                                diskobs::Event::ThrottleDisengage { drive, sensed_c }
+                            }
+                            DtmPolicy::SpeedScale { .. } => action("downshift", "upshift"),
+                            _ => action("unboost", "boost"),
                         }
-                    } else if throttled && air <= trip - resume_margin {
-                        throttled = false;
-                        self.drive.set_all_rpm(self.service_rpm);
-                    }
-                }
-                DtmPolicy::SlackRamp {
-                    base,
-                    high,
-                    slack_margin,
-                } => {
-                    let boost_ok = air <= self.envelope - slack_margin;
-                    if boosted && !boost_ok {
-                        self.drive.set_all_rpm(base);
-                        boosted = false;
-                    } else if !boosted && air <= self.envelope - slack_margin * 1.5 {
-                        self.drive.set_all_rpm(high);
-                        boosted = true;
-                    }
-                    let _ = boost_ok;
-                }
-                DtmPolicy::SpeedScale {
-                    high,
-                    low,
-                    guard,
-                    resume_margin,
-                } => {
-                    let trip = self.envelope - guard;
-                    if !scaled_down && air >= trip {
-                        self.drive.set_all_rpm(low);
-                        scaled_down = true;
-                    } else if scaled_down && air <= trip - resume_margin {
-                        self.drive.set_all_rpm(high);
-                        scaled_down = false;
-                    }
+                    });
                 }
             }
-            if throttled != was_throttled {
-                sink.emit(window_end, || {
-                    if throttled {
-                        diskobs::Event::ThrottleEngage { drive: scope, sensed_c: air.get() }
-                    } else {
-                        diskobs::Event::ThrottleDisengage { drive: scope, sensed_c: air.get() }
-                    }
-                });
-            }
-            if scaled_down != was_scaled {
-                sink.emit(window_end, || diskobs::Event::CoordinatorAction {
-                    drive: scope,
-                    action: if scaled_down { "downshift" } else { "upshift" },
-                });
-            }
-            if boosted != was_boosted {
-                sink.emit(window_end, || diskobs::Event::CoordinatorAction {
-                    drive: scope,
-                    action: if boosted { "boost" } else { "unboost" },
-                });
-            }
-            if scaled_down {
+            if scaling && engaged {
                 time_throttled += self.window;
             }
 
@@ -726,6 +711,70 @@ mod tests {
             steady.len(),
             chatter.len()
         );
+    }
+
+    #[test]
+    fn control_never_adds_time_over_the_envelope() {
+        // Every start and load the tests above drive the hot drive
+        // with: a policy that acts on the temperature must not leave
+        // the air over the envelope longer than no policy does, with
+        // one pinned exception below.
+        let hot = OperatingPoint::seeking(Rpm::new(24_534.0));
+        let policies = [
+            DtmPolicy::Throttle {
+                mechanism: ThrottlePolicy::VcmOnly {
+                    rpm: Rpm::new(24_534.0),
+                },
+                guard: TempDelta::new(0.1),
+                resume_margin: TempDelta::new(0.2),
+            },
+            DtmPolicy::Throttle {
+                mechanism: ThrottlePolicy::VcmAndRpm {
+                    high: Rpm::new(24_534.0),
+                    low: Rpm::new(15_020.0),
+                },
+                guard: TempDelta::new(0.1),
+                resume_margin: TempDelta::new(0.2),
+            },
+            DtmPolicy::SpeedScale {
+                high: Rpm::new(24_534.0),
+                low: Rpm::new(15_020.0),
+                guard: TempDelta::new(0.1),
+                resume_margin: TempDelta::new(0.2),
+            },
+        ];
+        for start in [None, Some(43.5), Some(44.0), Some(44.5), Some(44.8), Some(44.9)] {
+            for (n, rate) in [(1_500, 150.0), (2_000, 120.0), (2_000, 140.0)] {
+                let run = |policy: DtmPolicy| {
+                    let (system, model) = hot_setup(24_534.0);
+                    let cap = system.logical_sectors();
+                    let temps = match start {
+                        Some(c) => NodeTemps::uniform(Celsius::new(c)),
+                        None => model.steady_state(hot),
+                    };
+                    DtmController::new(system, model, policy, THERMAL_ENVELOPE)
+                        .with_initial_temps(temps)
+                        .run(heavy_trace(n, rate, cap))
+                        .unwrap()
+                        .time_over_envelope
+                };
+                let free = run(DtmPolicy::None);
+                for policy in policies {
+                    let controlled = run(policy);
+                    // Known exception: from the worst-case steady state
+                    // the drive starts 3 C over the envelope. Gating holds
+                    // the trace back for the minutes the drive takes to
+                    // cool, while the uncontrolled run serves its trace
+                    // in seconds and stops counting when it ends.
+                    let known = start.is_none() && matches!(policy, DtmPolicy::Throttle { .. });
+                    assert_eq!(
+                        controlled > free,
+                        known,
+                        "{policy:?} from {start:?} at {rate}/s: {controlled} over vs {free} free"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

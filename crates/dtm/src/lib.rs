@@ -35,12 +35,14 @@
 
 mod controller;
 mod driver;
+mod hysteresis;
 mod mirror;
 mod slack;
 mod throttle;
 
 pub use controller::{DtmController, DtmPolicy, DtmReport};
 pub use driver::{DriveState, WindowSample, WindowedDrive};
+pub use hysteresis::Hysteresis;
 pub use mirror::{MirrorReport, MirroredPair};
 pub use slack::{slack_roadmap, slack_table, SlackConfig, SlackRoadmapPoint, SlackRow};
 pub use throttle::{throttling_curve, throttling_ratio, ThrottleExperiment, ThrottlePolicy};

@@ -12,6 +12,7 @@
 //! publishes gating through [`Coordinator::gated`], so the fleet decides
 //! where drives live in memory (important for the sharded event loop).
 
+use dtm::Hysteresis;
 use serde::{Deserialize, Serialize};
 use units::{Celsius, Rpm, TempDelta};
 
@@ -156,37 +157,13 @@ impl Coordinator {
         }
     }
 
-    /// One control pass over the fleet: compares each drive's sensed
-    /// air temperature against the shared envelope and applies the
-    /// per-drive actuation with hysteresis. Speed changes go through
-    /// `set_rpm`; gating is published via [`Self::gated`].
-    ///
-    /// Implemented as [`Self::propose`] + [`Self::commit_one`] per
-    /// drive, so this serial pass and the fleet's parallel two-phase
-    /// epoch boundary can never disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `airs` does not carry one reading per drive.
-    pub fn apply(&mut self, airs: &[Celsius], mut set_rpm: impl FnMut(usize, Rpm)) {
-        assert_eq!(airs.len(), self.states.len(), "one reading per drive");
-        for (i, &air) in airs.iter().enumerate() {
-            let proposal = self.propose(i, air);
-            if let Some(rpm) = proposal.rpm {
-                set_rpm(i, rpm);
-            }
-            self.commit_one(i, proposal);
-        }
-    }
-
     /// Phase 1 of the two-phase epoch commit: drive `i`'s control
     /// transition against its *epoch-start* hysteresis state, without
     /// applying it. Each drive's decision reads only its own state and
     /// air reading, so shards propose every drive in parallel; nothing
     /// changes under them because commits happen strictly afterwards.
     pub(crate) fn propose(&self, i: usize, air: Celsius) -> CtlProposal {
-        let state = self.states[i];
-        let mut next = state;
+        let mut next = self.states[i];
         let (mut action, mut rpm) = (None, None);
         match self.policy {
             FleetDtmPolicy::None => {}
@@ -197,50 +174,39 @@ impl Coordinator {
                 resume_margin,
             } => {
                 let trip = self.envelope - guard;
-                if !state.scaled_down && air >= trip {
-                    next.scaled_down = true;
-                    action = Some("downshift");
-                    rpm = Some(low);
-                } else if state.scaled_down && air <= trip - resume_margin {
-                    next.scaled_down = false;
-                    action = Some("upshift");
-                    rpm = Some(high);
+                match Hysteresis::step(next.scaled_down, air, trip, resume_margin) {
+                    Hysteresis::Engage => {
+                        (next.scaled_down, action, rpm) = (true, Some("downshift"), Some(low));
+                    }
+                    Hysteresis::Release => {
+                        (next.scaled_down, action, rpm) = (false, Some("upshift"), Some(high));
+                    }
+                    Hysteresis::Hold => {}
                 }
             }
             FleetDtmPolicy::Throttle {
                 guard,
                 resume_margin,
-            } => {
-                let trip = self.envelope - guard;
-                if !state.gated && air >= trip {
-                    next.gated = true;
-                    action = Some("gate");
-                } else if state.gated && air <= trip - resume_margin {
-                    next.gated = false;
-                    action = Some("ungate");
-                }
-            }
+            } => match Hysteresis::step(next.gated, air, self.envelope - guard, resume_margin) {
+                Hysteresis::Engage => (next.gated, action) = (true, Some("gate")),
+                Hysteresis::Release => (next.gated, action) = (false, Some("ungate")),
+                Hysteresis::Hold => {}
+            },
         }
         CtlProposal { next, action, rpm }
     }
 
-    /// Phase 2: installs drive `i`'s proposed hysteresis state. The
-    /// fleet calls this in enclosure order — a cheap deterministic
-    /// reduce over what the shards proposed.
-    pub(crate) fn commit_one(&mut self, i: usize, proposal: CtlProposal) {
-        self.states[i] = proposal.next;
-    }
-
-    /// Phase 2 over the whole fleet: installs one proposal per drive in
-    /// enclosure order.
+    /// Phase 2: installs one proposed hysteresis state per drive, in
+    /// enclosure order — a cheap deterministic reduce over what the
+    /// shards proposed.
     ///
     /// # Panics
     ///
     /// Panics if `proposals` does not carry one entry per drive.
     pub(crate) fn commit_all(&mut self, proposals: &[CtlProposal]) {
         assert_eq!(proposals.len(), self.states.len(), "one proposal per drive");
-        for (i, &p) in proposals.iter().enumerate() {
-            self.commit_one(i, p);
+        for (state, p) in self.states.iter_mut().zip(proposals) {
+            *state = p.next;
         }
     }
 }
@@ -285,6 +251,20 @@ impl CtlProposal {
 mod tests {
     use super::*;
 
+    /// One control pass as the fleet's epoch boundary runs it: every
+    /// drive proposes against its epoch-start state, speed changes are
+    /// actuated, then the proposals commit in enclosure order.
+    fn apply(c: &mut Coordinator, airs: &[Celsius], mut set_rpm: impl FnMut(usize, Rpm)) {
+        let proposals: Vec<CtlProposal> =
+            airs.iter().enumerate().map(|(i, &air)| c.propose(i, air)).collect();
+        for (i, p) in proposals.iter().enumerate() {
+            if let Some(rpm) = p.rpm {
+                set_rpm(i, rpm);
+            }
+        }
+        c.commit_all(&proposals);
+    }
+
     #[test]
     fn speed_scale_downshifts_only_the_hot_drive_and_recovers() {
         let mut rpms = vec![Rpm::new(0.0); 3];
@@ -302,18 +282,18 @@ mod tests {
         assert_eq!(rpms, vec![Rpm::new(20_000.0); 3]);
 
         let hot = [Celsius::new(40.0), Celsius::new(44.8), Celsius::new(40.0)];
-        c.apply(&hot, |i, rpm| rpms[i] = rpm);
+        apply(&mut c, &hot, |i, rpm| rpms[i] = rpm);
         assert_eq!(rpms[0], Rpm::new(20_000.0));
         assert_eq!(rpms[1], Rpm::new(12_000.0));
         assert!(c.scaled_down(1) && c.engaged() == 1);
 
         // Hysteresis: just below the trip point is not enough to resume.
         let warm = [Celsius::new(40.0), Celsius::new(44.2), Celsius::new(40.0)];
-        c.apply(&warm, |i, rpm| rpms[i] = rpm);
+        apply(&mut c, &warm, |i, rpm| rpms[i] = rpm);
         assert_eq!(rpms[1], Rpm::new(12_000.0));
 
         let cool = [Celsius::new(40.0), Celsius::new(43.5), Celsius::new(40.0)];
-        c.apply(&cool, |i, rpm| rpms[i] = rpm);
+        apply(&mut c, &cool, |i, rpm| rpms[i] = rpm);
         assert_eq!(rpms[1], Rpm::new(20_000.0));
         assert_eq!(c.engaged(), 0);
     }
@@ -329,11 +309,11 @@ mod tests {
             2,
         );
         let no_rpm = |_: usize, _: Rpm| panic!("throttling never touches the spindle");
-        c.apply(&[Celsius::new(44.9), Celsius::new(40.0)], no_rpm);
+        apply(&mut c, &[Celsius::new(44.9), Celsius::new(40.0)], no_rpm);
         assert!(c.gated(0) && !c.gated(1));
-        c.apply(&[Celsius::new(44.6), Celsius::new(40.0)], no_rpm);
+        apply(&mut c, &[Celsius::new(44.6), Celsius::new(40.0)], no_rpm);
         assert!(c.gated(0), "inside the hysteresis band the gate holds");
-        c.apply(&[Celsius::new(44.4), Celsius::new(40.0)], no_rpm);
+        apply(&mut c, &[Celsius::new(44.4), Celsius::new(40.0)], no_rpm);
         assert!(!c.gated(0));
     }
 
@@ -342,7 +322,7 @@ mod tests {
         let mut c = Coordinator::new(FleetDtmPolicy::None, Celsius::new(45.0), 2);
         let no_rpm = |_: usize, _: Rpm| panic!("no-control never actuates");
         c.prime(no_rpm);
-        c.apply(&[Celsius::new(60.0), Celsius::new(60.0)], no_rpm);
+        apply(&mut c, &[Celsius::new(60.0), Celsius::new(60.0)], no_rpm);
         assert_eq!(c.engaged(), 0);
     }
 }

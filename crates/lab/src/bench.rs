@@ -1202,7 +1202,7 @@ fn scenario_bench_fleet() -> Result<Fleet, LabError> {
 /// Times the scenario subsystem: replay-source draw throughput and the
 /// per-epoch cost a rebuild storm adds to the fleet's event loop.
 pub fn scenario_bench(quick: bool) -> Result<ScenarioBenchReport, LabError> {
-    use diskscenario::{run_scenario, ArrivalSource, Injection, Scenario, ScenarioEngine};
+    use diskscenario::{ArrivalSource, EpochDriver, Injection, Scenario, ScenarioEngine};
     let fail = |e: &dyn std::fmt::Display| LabError::Experiment(format!("scenario bench: {e}"));
     let (draws, epochs) = if quick { (50_000u64, 6u64) } else { (2_000_000, 24) };
 
@@ -1240,20 +1240,13 @@ pub fn scenario_bench(quick: bool) -> Result<ScenarioBenchReport, LabError> {
         Ok(ArrivalSource::Synthetic(generator.stream(11)))
     };
     let run = |scenario: Scenario| -> Result<f64, LabError> {
-        let mut fleet = scenario_bench_fleet()?;
-        let mut source = arrivals()?;
-        let mut engine = ScenarioEngine::new(scenario);
+        let engine = ScenarioEngine::new(scenario);
+        let mut driver = EpochDriver::new(scenario_bench_fleet()?, arrivals()?, Some(engine));
         let mut samples = Vec::new();
         let start = Instant::now();
-        run_scenario(
-            &mut fleet,
-            &mut source,
-            &mut engine,
-            epochs,
-            &mut diskobs::Sink::null(),
-            &mut samples,
-        )
-        .map_err(|e| fail(&e))?;
+        driver
+            .run(epochs, &mut diskobs::Sink::null(), &mut samples)
+            .map_err(|e| fail(&e))?;
         Ok(start.elapsed().as_secs_f64() * 1e3 / epochs as f64)
     };
     let baseline_ms = run(Scenario::new())?;

@@ -130,8 +130,8 @@ impl ScenarioCooling {
         config.routing = RoutingPolicy::RoundRobin;
         config.dtm = dtm;
         config.threads = self.threads;
-        let mut fleet = Fleet::new(config).map_err(|e| fail(&e))?;
-        let mut source = scenario_support::oltp_source(&self.spec(), self.rate, self.seed)?;
+        let fleet = Fleet::new(config).map_err(|e| fail(&e))?;
+        let source = scenario_support::oltp_source(&self.spec(), self.rate, self.seed)?;
         let scenario = Scenario::new().with(Injection::CoolingEvent {
             at_epoch: self.at_epoch,
             duration_epochs: self.duration_epochs,
@@ -140,7 +140,7 @@ impl ScenarioCooling {
             scope: CoolingScope::All,
         });
         let (samples, report) =
-            scenario_support::drive(&mut fleet, &mut source, scenario, self.epochs)?;
+            scenario_support::drive(fleet, source, scenario, self.epochs)?;
         let outcome = CoolingOutcome {
             dtm: is_dtm,
             peak_air_c: report.max_air.get(),

@@ -183,8 +183,8 @@ impl Experiment for ScenarioDiurnal {
     }
 
     fn run(&self) -> Result<RunOutput, LabError> {
-        let mut fleet = self.fleet()?;
-        let mut source = scenario_support::oltp_source(&self.spec(), self.rate, self.seed)?;
+        let fleet = self.fleet()?;
+        let source = scenario_support::oltp_source(&self.spec(), self.rate, self.seed)?;
         let scenario = Scenario::new().with(Injection::TrafficShape {
             diurnal_period_epochs: self.period_epochs,
             diurnal_amplitude: self.amplitude,
@@ -193,7 +193,7 @@ impl Experiment for ScenarioDiurnal {
             flash_factor: self.flash_factor,
         });
         let (samples, fleet_report) =
-            scenario_support::drive(&mut fleet, &mut source, scenario, self.epochs)?;
+            scenario_support::drive(fleet, source, scenario, self.epochs)?;
 
         // Phase windows by epoch number (epochs in samples are
         // 1-based completion counts; injections key on the 0-based

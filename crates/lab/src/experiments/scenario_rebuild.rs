@@ -141,9 +141,9 @@ impl ScenarioRebuild {
         scenario: Scenario,
         rate: f64,
     ) -> Result<(Vec<EpochSample>, RebuildOutcome), LabError> {
-        let mut fleet = self.fleet()?;
-        let mut source = scenario_support::read_mostly_source(&self.spec(), self.rate, self.seed)?;
-        let (samples, report) = scenario_support::drive(&mut fleet, &mut source, scenario, self.epochs)?;
+        let source = scenario_support::read_mostly_source(&self.spec(), self.rate, self.seed)?;
+        let (samples, report) =
+            scenario_support::drive(self.fleet()?, source, scenario, self.epochs)?;
         let repaired_at = samples
             .iter()
             .find(|s| s.rebuild_total > 0 && s.rebuild_done == s.rebuild_total)

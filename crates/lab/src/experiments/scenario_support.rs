@@ -4,7 +4,7 @@
 
 use crate::LabError;
 use diskfleet::{Fleet, FleetReport};
-use diskscenario::{run_scenario, ArrivalSource, EpochSample, Scenario, ScenarioEngine};
+use diskscenario::{ArrivalSource, EpochDriver, EpochSample, Scenario, ScenarioEngine};
 use disksim::{DiskSpec, StorageSystem, SystemConfig};
 use workloads::{oltp, search_engine, TraceGenerator, WorkloadPreset};
 
@@ -53,24 +53,17 @@ fn preset_source(
 /// Steps `fleet` through `epochs` boundaries under `scenario`, returning
 /// the per-epoch samples and the final fleet report.
 pub(crate) fn drive(
-    fleet: &mut Fleet,
-    source: &mut ArrivalSource,
+    fleet: Fleet,
+    source: ArrivalSource,
     scenario: Scenario,
     epochs: u64,
 ) -> Result<(Vec<EpochSample>, FleetReport), LabError> {
-    let mut engine = ScenarioEngine::new(scenario);
+    let mut driver = EpochDriver::new(fleet, source, Some(ScenarioEngine::new(scenario)));
     let mut samples = Vec::new();
-    run_scenario(
-        fleet,
-        source,
-        &mut engine,
-        epochs,
-        &mut diskobs::Sink::null(),
-        &mut samples,
-    )
-    .map_err(|e| LabError::Experiment(format!("scenario run: {e}")))?;
-    let report = fleet.report();
-    Ok((samples, report))
+    driver
+        .run(epochs, &mut diskobs::Sink::null(), &mut samples)
+        .map_err(|e| LabError::Experiment(format!("scenario run: {e}")))?;
+    Ok((samples, driver.fleet.report()))
 }
 
 /// Renders samples as the committed CSV timeseries (header + one row

@@ -135,7 +135,7 @@ fn trace_fleet_routing(threads: usize, sink: &mut Sink) -> Result<(), LabError> 
 /// the routing, snapshot, and completion events of the fleet loop.
 fn trace_scenario_rebuild(threads: usize, sink: &mut Sink) -> Result<(), LabError> {
     use diskfleet::{EnclosureArray, RebuildSpec};
-    use diskscenario::{ArrivalSource, Injection, Scenario, ScenarioEngine};
+    use diskscenario::{ArrivalSource, EpochDriver, Injection, Scenario, ScenarioEngine};
 
     let fail =
         |e: &dyn std::fmt::Display| LabError::Experiment(format!("trace scenario_rebuild: {e}"));
@@ -154,7 +154,7 @@ fn trace_scenario_rebuild(threads: usize, sink: &mut Sink) -> Result<(), LabErro
         envelope: THERMAL_ENVELOPE,
     };
     config.threads = threads;
-    let mut fleet = Fleet::new(config).map_err(|e| fail(&e))?;
+    let fleet = Fleet::new(config).map_err(|e| fail(&e))?;
     let capacity = StorageSystem::new(SystemConfig::single_disk(DiskSpec::era(
         2002,
         1,
@@ -162,9 +162,9 @@ fn trace_scenario_rebuild(threads: usize, sink: &mut Sink) -> Result<(), LabErro
     )))
     .map_err(|e| fail(&e))?
     .logical_sectors();
-    let mut source = ArrivalSource::replay(synthetic_trace(1_200, 200.0, capacity))
+    let source = ArrivalSource::replay(synthetic_trace(1_200, 200.0, capacity))
         .map_err(|e| fail(&LabError::Experiment(e)))?;
-    let mut engine = ScenarioEngine::new(Scenario::new().with(Injection::DriveFailure {
+    let engine = ScenarioEngine::new(Scenario::new().with(Injection::DriveFailure {
         at_epoch: 2,
         enclosure: 1,
         disk: 1,
@@ -174,7 +174,8 @@ fn trace_scenario_rebuild(threads: usize, sink: &mut Sink) -> Result<(), LabErro
         },
     }));
     let mut samples = Vec::new();
-    diskscenario::run_scenario(&mut fleet, &mut source, &mut engine, 6, sink, &mut samples)
+    EpochDriver::new(fleet, source, Some(engine))
+        .run(6, sink, &mut samples)
         .map_err(|e| fail(&e))?;
     Ok(())
 }

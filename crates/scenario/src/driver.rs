@@ -1,6 +1,6 @@
-//! Epoch-stepping scenario driver: the loop the lab experiments (and
-//! the parity tests) share — apply the schedule, draw arrivals up to
-//! the boundary, step the fleet, sample.
+//! The epoch driver: the one loop that steps a fleet — apply the
+//! schedule, draw arrivals up to the boundary, step the fleet, sample.
+//! The lab experiments, the trace recorder and the twin all run it.
 
 use crate::scenario::ScenarioEngine;
 use crate::source::ArrivalSource;
@@ -54,57 +54,99 @@ impl EpochSample {
     }
 }
 
-/// Runs `epochs` sync epochs of `fleet` under `engine`'s schedule, fed
-/// by `source`, pushing one [`EpochSample`] per epoch. The arrival draw
-/// matches the twin's epoch loop exactly (draw until the first arrival
-/// past the boundary, hold it as lookahead), so a fleet and a twin
-/// driven from identical sources produce identical event streams.
-///
-/// # Errors
-///
-/// Propagates injection failures ([`FleetError`]) from the schedule.
-pub fn run_scenario(
-    fleet: &mut Fleet,
-    source: &mut ArrivalSource,
-    engine: &mut ScenarioEngine,
-    epochs: u64,
-    sink: &mut diskobs::Sink,
-    samples: &mut Vec<EpochSample>,
-) -> Result<FleetPhaseProfile, FleetError> {
-    let mut profile = FleetPhaseProfile::default();
-    if sink.is_enabled() {
-        fleet.enable_drive_sinks();
+/// A fleet, its arrival source, an optional injection schedule and the
+/// one request drawn past the current epoch boundary, stepped one sync
+/// epoch at a time. Because the lookahead lives here, the stream is
+/// consumed exactly once however the epochs are split across calls:
+/// `k` calls to [`Self::step`] equal one `k`-epoch [`Self::run`], and a
+/// batch fleet and a twin driven from identical sources produce
+/// identical event streams. The fleet, source and schedule are open
+/// between epochs, for perturbations and checkpoints.
+pub struct EpochDriver {
+    /// The fleet being stepped.
+    pub fleet: Fleet,
+    /// Where its arrivals come from.
+    pub source: ArrivalSource,
+    /// The injection schedule, applied at every boundary, if any.
+    pub scenario: Option<ScenarioEngine>,
+    lookahead: Option<Request>,
+    /// Wall-clock profile of the epochs stepped so far.
+    pub profile: FleetPhaseProfile,
+    /// Rebuild total last sampled: a finished rebuild leaves the
+    /// fleet's list, and samples keep reporting its final figures so
+    /// the CSV doesn't snap back to zero mid-plot.
+    last_rebuild_total: u64,
+}
+
+impl EpochDriver {
+    /// A driver at the fleet's current epoch, with nothing drawn ahead.
+    pub fn new(fleet: Fleet, source: ArrivalSource, scenario: Option<ScenarioEngine>) -> Self {
+        Self {
+            fleet,
+            source,
+            scenario,
+            lookahead: None,
+            profile: FleetPhaseProfile::default(),
+            last_rebuild_total: 0,
+        }
     }
-    let mut lookahead: Option<Request> = None;
-    let mut last_total = 0;
-    for _ in 0..epochs {
-        engine.apply_epoch(fleet, source)?;
-        let epoch_end = fleet.now() + fleet.epoch_len();
+
+    /// Resumes a stream mid-flight: `lookahead` is the request an
+    /// earlier driver drew past this epoch's boundary (checkpoint
+    /// restore).
+    pub fn with_lookahead(mut self, lookahead: Option<Request>) -> Self {
+        self.lookahead = lookahead;
+        self
+    }
+
+    /// The first request drawn past the current boundary, offered first
+    /// at the next step.
+    pub fn lookahead(&self) -> Option<Request> {
+        self.lookahead
+    }
+
+    /// Runs one sync epoch: applies the injections due at this
+    /// boundary, offers every arrival up to the next boundary, and
+    /// steps the fleet. Per-drive events are buffered into `sink` when
+    /// it is enabled and switched off when it is not.
+    ///
+    /// # Errors
+    ///
+    /// Propagates injection failures ([`FleetError`]) from the schedule.
+    pub fn step(&mut self, sink: &mut diskobs::Sink) -> Result<EpochSample, FleetError> {
+        if sink.is_enabled() {
+            self.fleet.enable_drive_sinks();
+        } else {
+            self.fleet.disable_drive_sinks();
+        }
+        if let Some(engine) = &mut self.scenario {
+            engine.apply_epoch(&mut self.fleet, &mut self.source)?;
+        }
+        let epoch_end = self.fleet.now() + self.fleet.epoch_len();
         loop {
-            let r = match lookahead.take() {
+            let r = match self.lookahead.take() {
                 Some(r) => r,
-                None => source.next_request(),
+                None => self.source.next_request(),
             };
             if r.arrival > epoch_end {
-                lookahead = Some(r);
+                self.lookahead = Some(r);
                 break;
             }
-            fleet.offer(std::iter::once(r));
+            self.fleet.offer(std::iter::once(r));
         }
-        fleet.step_epoch(sink, &mut profile);
+        self.fleet.step_epoch(sink, &mut self.profile);
+        let fleet = &self.fleet;
         let (mut done, mut total) = (0, 0);
         for rb in fleet.rebuilds() {
             done += rb.done();
             total += rb.total();
         }
-        // A finished rebuild leaves the list; keep reporting its final
-        // figures so the CSV doesn't snap back to zero mid-plot.
-        if total == 0 && last_total > 0 {
-            done = last_total;
-            total = last_total;
+        if total == 0 && self.last_rebuild_total > 0 {
+            done = self.last_rebuild_total;
+            total = self.last_rebuild_total;
         }
-        last_total = total;
-        samples.push(EpochSample {
+        self.last_rebuild_total = total;
+        Ok(EpochSample {
             epoch: fleet.epochs(),
             time_s: fleet.now().get(),
             peak_air_c: fleet.peak_air().get(),
@@ -113,8 +155,25 @@ pub fn run_scenario(
             completed: fleet.stats().count(),
             rebuild_done: done,
             rebuild_total: total,
-            traffic_factor: engine.traffic_factor(),
-        });
+            traffic_factor: self.scenario.as_ref().map_or(1.0, ScenarioEngine::traffic_factor),
+        })
     }
-    Ok(profile)
+
+    /// Runs `epochs` sync epochs, pushing one [`EpochSample`] each.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::step`]; the samples of the epochs before the failure
+    /// stay pushed.
+    pub fn run(
+        &mut self,
+        epochs: u64,
+        sink: &mut diskobs::Sink,
+        samples: &mut Vec<EpochSample>,
+    ) -> Result<(), FleetError> {
+        for _ in 0..epochs {
+            samples.push(self.step(sink)?);
+        }
+        Ok(())
+    }
 }

@@ -21,14 +21,14 @@
 //!   streams and recorded-trace replay ([`ReplaySource`], fed by the
 //!   MSR-Cambridge / DiskSim-ASCII / JSON readers in `workloads`), so
 //!   the fleet and the twin consume real traces identically;
-//! - [`run_scenario`] — the shared epoch-stepping loop producing
-//!   per-epoch [`EpochSample`] rows for the lab experiments.
+//! - [`EpochDriver`] — the one epoch-stepping loop, shared by the lab
+//!   experiments and the twin, producing per-epoch [`EpochSample`] rows.
 //!
 //! # Examples
 //!
 //! ```
 //! use diskfleet::{EnclosureArray, Fleet, FleetConfig, RebuildSpec};
-//! use diskscenario::{ArrivalSource, Injection, Scenario, ScenarioEngine, run_scenario};
+//! use diskscenario::{ArrivalSource, EpochDriver, Injection, Scenario, ScenarioEngine};
 //! use disksim::DiskSpec;
 //! use diskthermal::DriveThermalSpec;
 //! use units::{Inches, Rpm};
@@ -41,7 +41,7 @@
 //!     12.0,
 //! )?;
 //! config.array = Some(EnclosureArray { disks: 4, stripe_sectors: 65_536 });
-//! let mut fleet = Fleet::new(config)?;
+//! let fleet = Fleet::new(config)?;
 //!
 //! let profile = AccessProfile {
 //!     read_fraction: 0.7,
@@ -52,7 +52,7 @@
 //! };
 //! let gen = TraceGenerator::new(profile, ArrivalModel::Poisson { rate: 200.0 }, 1, 1 << 20)
 //!     .map_err(diskfleet::FleetError::Config)?;
-//! let mut source = ArrivalSource::Synthetic(gen.stream(7));
+//! let source = ArrivalSource::Synthetic(gen.stream(7));
 //!
 //! let scenario = Scenario::new().with(Injection::DriveFailure {
 //!     at_epoch: 2,
@@ -60,9 +60,9 @@
 //!     disk: 0,
 //!     rebuild: RebuildSpec::default(),
 //! });
-//! let mut engine = ScenarioEngine::new(scenario);
+//! let mut driver = EpochDriver::new(fleet, source, Some(ScenarioEngine::new(scenario)));
 //! let mut samples = Vec::new();
-//! run_scenario(&mut fleet, &mut source, &mut engine, 4, &mut diskobs::Sink::null(), &mut samples)?;
+//! driver.run(4, &mut diskobs::Sink::null(), &mut samples)?;
 //! assert_eq!(samples.len(), 4);
 //! assert!(samples[3].rebuild_total > 0, "the storm is under way");
 //! # Ok::<(), diskfleet::FleetError>(())
@@ -75,6 +75,6 @@ mod driver;
 mod scenario;
 mod source;
 
-pub use driver::{run_scenario, EpochSample};
+pub use driver::{EpochDriver, EpochSample};
 pub use scenario::{CoolingScope, Injection, Scenario, ScenarioEngine};
 pub use source::{ArrivalSource, ArrivalSourceState, ReplaySource};

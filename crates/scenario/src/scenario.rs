@@ -67,7 +67,7 @@ pub enum Injection {
         /// Epochs over which the bias ramps to full strength.
         ramp_epochs: u64,
         /// Peak inlet-temperature bias in Celsius (may be negative:
-        /// overcooling).
+        /// overcooling; 0 is a no-op that emits no event).
         delta_c: f64,
         /// Which bays are affected.
         scope: CoolingScope,
@@ -273,6 +273,10 @@ impl ScenarioEngine {
                 else {
                     continue;
                 };
+                // A zero excursion changes nothing, so it announces nothing.
+                if delta_c == 0.0 {
+                    continue;
+                }
                 let (lo, hi) = scope.bounds(n);
                 let d = inj.cooling_delta_at(epoch);
                 if d != 0.0 {

@@ -38,36 +38,45 @@ impl ReplaySource {
     /// # Errors
     ///
     /// Rejects an empty trace — there is no period to loop over — and
-    /// any non-finite arrival, which would make the period NaN or
-    /// infinite.
+    /// any negative or non-finite arrival, which would make the period
+    /// negative, NaN or infinite.
     pub fn new(mut trace: Vec<Request>) -> Result<Self, String> {
-        if trace.is_empty() {
-            return Err("cannot replay an empty trace".into());
-        }
-        if let Some(r) = trace.iter().find(|r| !r.arrival.get().is_finite()) {
-            return Err(format!(
-                "request {} has a non-finite arrival ({})",
-                r.id,
-                r.arrival.get()
-            ));
-        }
-        trace.sort_by(|a, b| {
-            a.arrival
-                .get()
-                .total_cmp(&b.arrival.get())
-                .then(a.id.cmp(&b.id))
-        });
-        let last = trace.last().expect("non-empty").arrival.get();
-        let mean_gap = (last / trace.len() as f64).max(1e-6);
+        check_arrivals(&trace)?;
+        trace.sort_by(arrival_order);
+        let period = period_of(&trace);
         Ok(Self {
             trace,
             cursor: 0,
             lap: 0,
-            period: last + mean_gap,
+            period,
             rate: 1.0,
             anchor_raw: 0.0,
             anchor_out: 0.0,
         })
+    }
+
+    /// Re-checks a deserialized replay against the invariants
+    /// [`Self::new`] and the stream establish, so a corrupted checkpoint
+    /// body can neither index past the trace nor stall the epoch loop
+    /// on arrivals that never pass a boundary.
+    fn check_restored(&self) -> Result<(), String> {
+        check_arrivals(&self.trace)?;
+        if self.trace.windows(2).any(|w| arrival_order(&w[0], &w[1]).is_gt()) {
+            return Err("replay trace is not in arrival order".into());
+        }
+        if self.cursor >= self.trace.len() {
+            return Err("replay cursor out of range".into());
+        }
+        if self.period != period_of(&self.trace) {
+            return Err(format!("replay period {} does not match its recording", self.period));
+        }
+        if !(self.rate.is_finite() && self.rate > 0.0) {
+            return Err("replay rate must be positive and finite".into());
+        }
+        if !(self.anchor_raw.is_finite() && self.anchor_out.is_finite()) {
+            return Err("replay rate anchors must be finite".into());
+        }
+        Ok(())
     }
 
     /// Requests in one recorded lap.
@@ -118,6 +127,32 @@ impl ReplaySource {
     }
 }
 
+fn check_arrivals(trace: &[Request]) -> Result<(), String> {
+    if trace.is_empty() {
+        return Err("cannot replay an empty trace".into());
+    }
+    match trace.iter().find(|r| !(r.arrival.get().is_finite() && r.arrival.get() >= 0.0)) {
+        Some(r) => Err(format!(
+            "request {} has a negative or non-finite arrival ({})",
+            r.id,
+            r.arrival.get()
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Replay order: arrival, then id — the order `Fleet::run` imposes.
+fn arrival_order(a: &Request, b: &Request) -> std::cmp::Ordering {
+    a.arrival.get().total_cmp(&b.arrival.get()).then(a.id.cmp(&b.id))
+}
+
+/// One lap of a sorted, non-empty recording: its last arrival plus one
+/// mean gap (at least 1 µs, so a lap always moves time forward).
+fn period_of(trace: &[Request]) -> f64 {
+    let last = trace[trace.len() - 1].arrival.get();
+    last + (last / trace.len() as f64).max(1e-6)
+}
+
 /// Where a fleet's (or twin's) arrivals come from: a seeded synthetic
 /// generator stream or the replay of a recorded trace. Both are
 /// endless, deterministic, rate-scalable, and checkpointable, so every
@@ -146,7 +181,7 @@ impl ArrivalSource {
     ///
     /// # Errors
     ///
-    /// Rejects an empty trace.
+    /// As [`ReplaySource::new`].
     pub fn replay(trace: Vec<Request>) -> Result<Self, String> {
         Ok(Self::Replay(ReplaySource::new(trace)?))
     }
@@ -190,15 +225,7 @@ impl ArrivalSource {
         Ok(match state {
             ArrivalSourceState::Synthetic(s) => Self::Synthetic(TraceStream::restore_state(s)?),
             ArrivalSourceState::Replay(r) => {
-                if r.trace.is_empty() {
-                    return Err("cannot replay an empty trace".into());
-                }
-                if r.cursor >= r.trace.len() {
-                    return Err("replay cursor out of range".into());
-                }
-                if !(r.rate.is_finite() && r.rate > 0.0) {
-                    return Err("replay rate must be positive and finite".into());
-                }
+                r.check_restored()?;
                 Self::Replay(r)
             }
         })
@@ -256,6 +283,39 @@ mod tests {
             t[3] = Request::new(3, Seconds::new(bad), 0, 0, 8, RequestKind::Read);
             let err = ReplaySource::new(t).unwrap_err();
             assert!(err.contains("non-finite"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn negative_arrivals_are_rejected() {
+        let t = [-2.0, -1.0].map(|a| Request::new(0, Seconds::new(a), 0, 0, 8, RequestKind::Read));
+        let err = ReplaySource::new(t.to_vec()).unwrap_err();
+        assert!(err.contains("negative"), "{err}");
+    }
+
+    #[test]
+    fn corrupted_replay_states_are_rejected_on_restore() {
+        let mut src = ReplaySource::new(record(5)).unwrap();
+        src.next_request();
+        let good = src.clone();
+        assert!(ArrivalSource::restore_state(ArrivalSourceState::Replay(good.clone())).is_ok());
+        let corruptions: [fn(&mut ReplaySource); 8] = [
+            |r| r.trace.clear(),
+            |r| r.trace[2] = Request::new(2, Seconds::new(-0.5), 0, 0, 8, RequestKind::Read),
+            |r| r.trace.swap(1, 3),
+            |r| r.cursor = 5,
+            |r| r.period = -1.0,
+            |r| r.period = 1e-300,
+            |r| r.rate = 0.0,
+            |r| r.anchor_out = f64::NEG_INFINITY,
+        ];
+        for (k, corrupt) in corruptions.iter().enumerate() {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            assert!(
+                ArrivalSource::restore_state(ArrivalSourceState::Replay(bad)).is_err(),
+                "corruption {k} must be rejected"
+            );
         }
     }
 

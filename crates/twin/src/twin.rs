@@ -8,7 +8,8 @@ use diskfleet::{
     AirflowGraph, Fleet, FleetConfig, FleetDtmPolicy, FleetState, RebuildSpec, RoutingPolicy,
 };
 use diskscenario::{
-    ArrivalSource, ArrivalSourceState, CoolingScope, Injection, Scenario, ScenarioEngine,
+    ArrivalSource, ArrivalSourceState, CoolingScope, EpochDriver, Injection, Scenario,
+    ScenarioEngine,
 };
 use disksim::{DiskSpec, Request};
 use diskthermal::DriveThermalSpec;
@@ -106,18 +107,12 @@ impl TwinState {
 /// The live digital twin: a fleet kept warm by an endless workload
 /// stream, advanced one sync epoch per [`Twin::advance_epoch`] call.
 pub struct Twin {
-    fleet: Fleet,
-    source: ArrivalSource,
-    /// Pending injection schedule, applied at each epoch boundary.
-    scenario: Option<ScenarioEngine>,
-    /// The first request drawn past the current epoch's end; offered at
-    /// the start of the next epoch so the stream is consumed exactly
-    /// once regardless of where checkpoints land.
-    lookahead: Option<Request>,
+    /// The fleet, its arrival source, the pending injection schedule
+    /// and the request drawn past the current boundary.
+    driver: EpochDriver,
     spec: DiskSpec,
     thermal: DriveThermalSpec,
     stream_w_per_k: f64,
-    profile: diskfleet::FleetPhaseProfile,
 }
 
 impl Twin {
@@ -157,16 +152,11 @@ impl Twin {
         fleet_cfg.dtm = config.dtm;
         fleet_cfg.threads = config.threads;
         fleet_cfg.array = config.array;
-        let fleet = Fleet::new(fleet_cfg)?;
         Ok(Self {
-            fleet,
-            source,
-            scenario: None,
-            lookahead: None,
+            driver: EpochDriver::new(Fleet::new(fleet_cfg)?, source, None),
             spec: config.spec,
             thermal: config.thermal,
             stream_w_per_k: config.stream_w_per_k,
-            profile: diskfleet::FleetPhaseProfile::default(),
         })
     }
 
@@ -175,12 +165,7 @@ impl Twin {
     /// — fired flags and the traffic factor in force — rides along in
     /// every checkpoint.
     pub fn set_scenario(&mut self, scenario: Scenario) {
-        self.scenario = Some(ScenarioEngine::new(scenario));
-    }
-
-    /// The pending schedule's engine, if one is installed.
-    pub fn scenario(&self) -> Option<&ScenarioEngine> {
-        self.scenario.as_ref()
+        self.driver.scenario = Some(ScenarioEngine::new(scenario));
     }
 
     /// Advances the twin exactly one sync epoch: applies any scenario
@@ -206,48 +191,28 @@ impl Twin {
     ///
     /// As [`Self::advance_epoch`].
     pub fn advance_epoch_with_sink(&mut self, sink: &mut diskobs::Sink) -> Result<(), TwinError> {
-        if sink.is_enabled() {
-            self.fleet.enable_drive_sinks();
-        } else {
-            self.fleet.disable_drive_sinks();
-        }
-        if let Some(engine) = &mut self.scenario {
-            engine.apply_epoch(&mut self.fleet, &mut self.source)?;
-        }
-        let epoch_end = self.fleet.now() + self.fleet.epoch_len();
-        loop {
-            let r = match self.lookahead.take() {
-                Some(r) => r,
-                None => self.source.next_request(),
-            };
-            if r.arrival > epoch_end {
-                self.lookahead = Some(r);
-                break;
-            }
-            self.fleet.offer(std::iter::once(r));
-        }
-        self.fleet.step_epoch(sink, &mut self.profile);
+        self.driver.step(sink)?;
         Ok(())
     }
 
     /// Sync epochs executed so far.
     pub fn epoch(&self) -> u64 {
-        self.fleet.epochs()
+        self.fleet().epochs()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> units::Seconds {
-        self.fleet.now()
+        self.fleet().now()
     }
 
     /// The warm fleet, read-only.
     pub fn fleet(&self) -> &Fleet {
-        &self.fleet
+        &self.driver.fleet
     }
 
     /// Wall-clock profile of the epochs advanced so far.
     pub fn profile(&self) -> diskfleet::FleetPhaseProfile {
-        self.profile
+        self.driver.profile
     }
 
     /// Captures the twin's complete dynamic state (an epoch-boundary
@@ -258,10 +223,10 @@ impl Twin {
             spec: self.spec.clone(),
             thermal: self.thermal,
             stream_w_per_k: self.stream_w_per_k,
-            fleet: self.fleet.capture_state(),
-            source: self.source.capture_state(),
-            scenario: self.scenario.clone(),
-            lookahead: self.lookahead,
+            fleet: self.fleet().capture_state(),
+            source: self.driver.source.capture_state(),
+            scenario: self.driver.scenario.clone(),
+            lookahead: self.driver.lookahead(),
         }
     }
 
@@ -288,14 +253,10 @@ impl Twin {
         let fleet = Fleet::restore_state(state.fleet)?;
         let source = ArrivalSource::restore_state(state.source).map_err(TwinError::Config)?;
         Ok(Self {
-            fleet,
-            source,
-            scenario: state.scenario,
-            lookahead: state.lookahead,
+            driver: EpochDriver::new(fleet, source, state.scenario).with_lookahead(state.lookahead),
             spec: state.spec,
             thermal: state.thermal,
             stream_w_per_k: state.stream_w_per_k,
-            profile: diskfleet::FleetPhaseProfile::default(),
         })
     }
 
@@ -327,9 +288,9 @@ impl Twin {
                 "add_drives {extra} exceeds the 4096-drive cap"
             )));
         }
-        let n = self.fleet.len() + extra as usize;
-        let graph = AirflowGraph::serial(n, self.fleet.inlet(), self.stream_w_per_k)?;
-        self.fleet.add_enclosures(&self.spec, &self.thermal, graph)?;
+        let n = self.driver.fleet.len() + extra as usize;
+        let graph = AirflowGraph::serial(n, self.driver.fleet.inlet(), self.stream_w_per_k)?;
+        self.driver.fleet.add_enclosures(&self.spec, &self.thermal, graph)?;
         Ok(())
     }
 
@@ -345,8 +306,8 @@ impl Twin {
                 "inlet_delta_c must be finite, got {delta_c}"
             )));
         }
-        let inlet: Celsius = self.fleet.inlet() + TempDelta::new(delta_c);
-        self.fleet.set_inlet(inlet);
+        let inlet: Celsius = self.driver.fleet.inlet() + TempDelta::new(delta_c);
+        self.driver.fleet.set_inlet(inlet);
         Ok(())
     }
 
@@ -362,7 +323,7 @@ impl Twin {
                 "traffic_scale must be positive and finite, got {factor}"
             )));
         }
-        self.source.scale_traffic(factor);
+        self.driver.source.scale_traffic(factor);
         Ok(())
     }
 
@@ -380,7 +341,7 @@ impl Twin {
         disk: u32,
         rebuild: RebuildSpec,
     ) -> Result<(), TwinError> {
-        self.fleet.fail_drive(enclosure, disk, rebuild)?;
+        self.driver.fleet.fail_drive(enclosure, disk, rebuild)?;
         Ok(())
     }
 
@@ -400,13 +361,14 @@ impl Twin {
             )));
         }
         let injection = Injection::CoolingEvent {
-            at_epoch: self.fleet.epochs(),
+            at_epoch: self.driver.fleet.epochs(),
             duration_epochs,
             ramp_epochs: 0,
             delta_c,
             scope: CoolingScope::All,
         };
-        self.scenario
+        self.driver
+            .scenario
             .get_or_insert_with(|| ScenarioEngine::new(Scenario::new()))
             .push(injection);
         Ok(())
@@ -500,23 +462,24 @@ fn run_fork(
     horizon: u64,
     deadline: Option<Instant>,
 ) -> Result<ForkOutcome, TwinError> {
-    twin.fleet.reset_stats();
-    let before = twin.fleet.report();
-    let mut peak_air = twin.fleet.peak_air();
-    let mut peak_ambient = twin.fleet.peak_local_ambient();
-    let mut max_engaged = twin.fleet.engaged_count();
+    twin.driver.fleet.reset_stats();
+    let fleet = twin.fleet();
+    let before = fleet.report();
+    let mut peak_air = fleet.peak_air().get();
+    let mut peak_ambient = fleet.peak_local_ambient().get();
+    let mut max_engaged = fleet.engaged_count();
     for _ in 0..horizon {
         if let Some(d) = deadline {
             if Instant::now() >= d {
                 return Err(TwinError::Timeout);
             }
         }
-        twin.advance_epoch()?;
-        peak_air = peak_air.max(twin.fleet.peak_air());
-        peak_ambient = peak_ambient.max(twin.fleet.peak_local_ambient());
-        max_engaged = max_engaged.max(twin.fleet.engaged_count());
+        let sample = twin.driver.step(&mut diskobs::Sink::null())?;
+        peak_air = peak_air.max(sample.peak_air_c);
+        peak_ambient = peak_ambient.max(sample.peak_ambient_c);
+        max_engaged = max_engaged.max(sample.engaged);
     }
-    let after = twin.fleet.report();
+    let after = twin.fleet().report();
     let sum_gated = |r: &diskfleet::FleetReport| {
         r.per_enclosure.iter().map(|e| e.time_gated.get()).sum::<f64>()
     };
@@ -531,8 +494,8 @@ fn run_fork(
         p99_ms: stats.percentile(99.0).to_millis(),
         max_ms: stats.max().to_millis(),
         cdf: stats.cdf().into_iter().filter(|(edge, _)| edge.is_finite()).collect(),
-        peak_air_c: peak_air.get(),
-        peak_local_ambient_c: peak_ambient.get(),
+        peak_air_c: peak_air,
+        peak_local_ambient_c: peak_ambient,
         max_engaged: max_engaged as u64,
         gated_s: sum_gated(&after) - sum_gated(&before),
         scaled_s: sum_scaled(&after) - sum_scaled(&before),

@@ -4,7 +4,7 @@
 //! byte-identical NDJSON.
 
 use diskfleet::{Fleet, FleetConfig};
-use diskscenario::{run_scenario, ArrivalSource, Scenario, ScenarioEngine};
+use diskscenario::{ArrivalSource, EpochDriver, Scenario, ScenarioEngine};
 use disksim::{DiskSpec, Request, RequestKind};
 use diskthermal::DriveThermalSpec;
 use disktwin::{Twin, TwinConfig};
@@ -54,20 +54,14 @@ fn msr_replay_drives_fleet_and_twin_identically() {
     config.routing = diskfleet::RoutingPolicy::ThermalAware {
         envelope: diskthermal::THERMAL_ENVELOPE,
     };
-    let mut fleet = Fleet::new(config).expect("fleet builds");
-    let mut source = ArrivalSource::replay(trace.clone()).expect("replay source");
-    let mut engine = ScenarioEngine::new(Scenario::new());
+    let fleet = Fleet::new(config).expect("fleet builds");
+    let source = ArrivalSource::replay(trace.clone()).expect("replay source");
+    let engine = ScenarioEngine::new(Scenario::new());
     let mut fleet_sink = diskobs::Sink::buffer();
     let mut samples = Vec::new();
-    run_scenario(
-        &mut fleet,
-        &mut source,
-        &mut engine,
-        EPOCHS,
-        &mut fleet_sink,
-        &mut samples,
-    )
-    .expect("fleet run");
+    EpochDriver::new(fleet, source, Some(engine))
+        .run(EPOCHS, &mut fleet_sink, &mut samples)
+        .expect("fleet run");
 
     // Twin path: the same recording through Twin::with_source. The
     // preset only shapes the fleet; spec/thermal/stream are overridden

@@ -32,7 +32,15 @@ cargo run --release --bin lab -- table1
 echo "==> cargo run --release --bin lab -- run fleet_routing"
 # Full scale, so the regenerated artifact matches the committed
 # results/fleet_routing.json byte for byte.
-cargo run --release --bin lab -- run fleet_routing
+cargo run --release --bin lab -- run fleet_routing --no-cache
+git diff --exit-code -- results/fleet_routing.json results/fleet_routing.txt
+
+echo "==> cargo run --release --bin lab -- run scenario_cooling"
+# The fleet coordinator's speed-scaling path under a cooling excursion:
+# payload, both timeseries and the report must match byte for byte.
+cargo run --release --bin lab -- run scenario_cooling --no-cache
+git diff --exit-code -- results/scenario_cooling.json results/scenario_cooling.txt \
+    results/scenario_cooling_dtm.csv results/scenario_cooling_free.csv
 
 echo "==> cargo run --release --bin lab -- run scenario_rebuild"
 # The heaviest committed experiment, regenerated at full scale: its
@@ -48,7 +56,11 @@ echo "==> cargo test -q -p disklab --test lab_determinism trace_bytes"
 cargo test -q -p disklab --test lab_determinism trace_bytes_are_identical_at_any_shard_count
 
 echo "==> cargo run --release --bin lab -- trace figure5"
+# The single-drive controller's slack-ramp path: the event stream,
+# metrics and timeseries must match the committed files byte for byte.
 cargo run --release --bin lab -- trace figure5
+git diff --exit-code -- results/trace_figure5.ndjson results/trace_figure5_metrics.json \
+    results/trace_figure5_timeseries.csv
 
 echo "==> shard-scaling smoke: 4 shards byte-identical to serial"
 # The parallel epoch boundary must be invisible in the results: the

@@ -261,7 +261,7 @@ fn steady_state_windows_allocate_nothing() {
 
     // --- Subject 5: the per-epoch fleet status read. ---
     // Step a small fleet until its bays hold completions, then read
-    // the status the way `run_scenario` does.
+    // the status the way `EpochDriver::step` samples it.
     let config =
         diskfleet::FleetConfig::serial(4, spec, thermal, 12.0).expect("valid fleet config");
     let mut fleet = diskfleet::Fleet::new(config).expect("valid fleet");
