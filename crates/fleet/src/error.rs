@@ -31,6 +31,16 @@ pub enum FleetError {
         /// in flight at a drive.
         backlog: u64,
     },
+    /// One sync epoch drew more arrivals than the epoch driver's fixed
+    /// per-epoch cap (`diskscenario::MAX_DRAWS_PER_EPOCH`): the source's
+    /// arrivals crawl (an absurd replay rate or traffic scale), and
+    /// drawing on would queue requests without bound.
+    DrawCapReached {
+        /// The epoch being filled when the cap fired.
+        epoch: u64,
+        /// The cap, in draws per epoch.
+        cap: u64,
+    },
 }
 
 impl fmt::Display for FleetError {
@@ -46,6 +56,11 @@ impl fmt::Display for FleetError {
                 "run stopped at the simulated-time cap ({:.0} s) with {backlog} \
                  request(s) outstanding",
                 now.get()
+            ),
+            FleetError::DrawCapReached { epoch, cap } => write!(
+                f,
+                "epoch {epoch} drew more than {cap} arrivals; the source's arrivals \
+                 barely advance"
             ),
         }
     }

@@ -5,11 +5,21 @@
 //! emission site. Timestamps are **simulated seconds** — wall time never
 //! enters a trace, which is what keeps traces byte-identical at any
 //! thread or shard count.
+//!
+//! Events render to NDJSON through one direct writer,
+//! [`TimedEvent::write_ndjson`], which appends bytes without building a
+//! JSON value tree. It follows the vendored JSON writer's rules exactly;
+//! the unit tests derive `Serialize` (under `cfg(test)` only) and use
+//! that serializer as the byte-for-byte oracle.
 
+use serde::ser::push_escaped;
+#[cfg(test)]
 use serde::Serialize;
+use std::fmt::Write;
 
 /// One thing that happened inside a simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(Serialize))]
 pub enum Event {
     /// A logical request entered service consideration at a drive.
     RequestIssue {
@@ -142,7 +152,8 @@ pub enum Event {
 }
 
 /// An [`Event`] stamped with simulated time.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(Serialize))]
 pub struct TimedEvent {
     /// Simulated time of the event, seconds.
     pub t: f64,
@@ -151,11 +162,148 @@ pub struct TimedEvent {
 }
 
 impl TimedEvent {
-    /// Renders the event as one compact NDJSON line (no trailing
-    /// newline). Rendering goes through the same serializer everywhere,
-    /// so identical event streams produce identical bytes.
+    /// Appends the event as one compact NDJSON line (no trailing
+    /// newline) to `out`: `{"t":..,"event":{"Variant":{..}}}`, keys in
+    /// declaration order, integers plain, floats as the vendored JSON
+    /// writer renders them, strings escaped by its escaper. Identical
+    /// event streams therefore produce identical bytes.
+    pub fn write_ndjson(&self, out: &mut String) {
+        out.push_str("{\"t\":");
+        self.t.write_json(out);
+        out.push_str(",\"event\":");
+        // Writes `{"Variant":{"k0":v0,"k1":v1,..` (the closing braces
+        // follow the match), with punctuation and keys joined at
+        // compile time into one push per field.
+        macro_rules! variant {
+            ($name:literal { $k0:literal: $v0:expr $(, $k:literal: $v:expr)* $(,)? }) => {{
+                out.push_str(concat!("{\"", $name, "\":{\"", $k0, "\":"));
+                $v0.write_json(out);
+                $(
+                    out.push_str(concat!(",\"", $k, "\":"));
+                    $v.write_json(out);
+                )*
+            }};
+        }
+        match &self.event {
+            Event::RequestIssue { id, device, lba, sectors, kind } => variant!("RequestIssue" {
+                "id": id, "device": device, "lba": lba, "sectors": sectors, "kind": kind,
+            }),
+            Event::RequestComplete { id, start, response_ms } => variant!("RequestComplete" {
+                "id": id, "start": start, "response_ms": response_ms,
+            }),
+            Event::RpmTransition { drive, from, to } => {
+                variant!("RpmTransition" { "drive": drive, "from": from, "to": to })
+            }
+            Event::ThrottleEngage { drive, sensed_c } => {
+                variant!("ThrottleEngage" { "drive": drive, "sensed_c": sensed_c })
+            }
+            Event::ThrottleDisengage { drive, sensed_c } => {
+                variant!("ThrottleDisengage" { "drive": drive, "sensed_c": sensed_c })
+            }
+            Event::CoordinatorAction { drive, action } => {
+                variant!("CoordinatorAction" { "drive": drive, "action": action })
+            }
+            Event::RoutingDecision { request, drive } => {
+                variant!("RoutingDecision" { "request": request, "drive": drive })
+            }
+            Event::SensorReading { drive, sensed_c, actual_c } => variant!("SensorReading" {
+                "drive": drive, "sensed_c": sensed_c, "actual_c": actual_c,
+            }),
+            Event::Snapshot { drive, air_c, ambient_c, queue, util, duty, rpm, gated } => {
+                variant!("Snapshot" {
+                    "drive": drive,
+                    "air_c": air_c,
+                    "ambient_c": ambient_c,
+                    "queue": queue,
+                    "util": util,
+                    "duty": duty,
+                    "rpm": rpm,
+                    "gated": gated,
+                })
+            }
+            Event::DriveFailed { enclosure, disk } => {
+                variant!("DriveFailed" { "enclosure": enclosure, "disk": disk })
+            }
+            Event::RebuildProgress { enclosure, done, total } => variant!("RebuildProgress" {
+                "enclosure": enclosure, "done": done, "total": total,
+            }),
+            Event::CoolingExcursion { lo, hi, delta_c } => {
+                variant!("CoolingExcursion" { "lo": lo, "hi": hi, "delta_c": delta_c })
+            }
+            Event::TrafficPhase { factor } => variant!("TrafficPhase" { "factor": factor }),
+            Event::Log { level, message } => {
+                variant!("Log" { "level": level, "message": message })
+            }
+        }
+        out.push_str("}}}");
+    }
+
+    /// The event as one compact NDJSON line (no trailing newline); see
+    /// [`Self::write_ndjson`].
     pub fn to_ndjson_line(&self) -> String {
-        serde_json::to_string(self).unwrap_or_default()
+        let mut line = String::new();
+        self.write_ndjson(&mut line);
+        line
+    }
+}
+
+/// An event field value, rendered as the vendored JSON writer renders
+/// it. Keys and variant names are plain identifiers, so only string
+/// values need escaping.
+trait Scalar {
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! plain_integer {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+plain_integer!(u32, u64, usize);
+
+impl Scalar for f64 {
+    /// `serde::ser::format_f64`'s rule, written in place: integral
+    /// values below 1e16 keep a trailing `.0`, everything else takes
+    /// the shortest round-trip form, and non-finite values are `null`.
+    /// An integral value is exact in a `u64`, so its digits are written
+    /// as one: the same bytes as `{x:.1}` (sign of -0.0 included),
+    /// whose exact-precision formatting path costs about ten times as
+    /// much.
+    fn write_json(&self, out: &mut String) {
+        let x = *self;
+        if !x.is_finite() {
+            out.push_str("null");
+        } else if x == x.trunc() && x.abs() < 1e16 {
+            if x.is_sign_negative() {
+                out.push('-');
+            }
+            (x.abs() as u64).write_json(out);
+            out.push_str(".0");
+        } else {
+            let _ = write!(out, "{x}");
+        }
+    }
+}
+
+impl Scalar for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+impl Scalar for &str {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl Scalar for String {
+    fn write_json(&self, out: &mut String) {
+        push_escaped(out, self);
     }
 }
 
@@ -174,6 +322,112 @@ pub fn is_time_sorted(events: &[TimedEvent]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: the vendored serializer through the test-only derive.
+    fn serde_line(e: &TimedEvent) -> String {
+        serde_json::to_string(e).unwrap()
+    }
+
+    fn assert_matches_oracle(e: &TimedEvent) {
+        assert_eq!(e.to_ndjson_line(), serde_line(e), "event {e:?}");
+    }
+
+    /// One event of every variant: integer fields from `n`, every float
+    /// field `x`, every string field `text`.
+    fn every_variant(n: u64, x: f64, text: &str) -> Vec<Event> {
+        let (d, w) = (n as usize, n as u32);
+        vec![
+            Event::RequestIssue { id: n, device: w, lba: n, sectors: w, kind: "read" },
+            Event::RequestComplete { id: n, start: x, response_ms: x },
+            Event::RpmTransition { drive: d, from: x, to: x },
+            Event::ThrottleEngage { drive: d, sensed_c: x },
+            Event::ThrottleDisengage { drive: d, sensed_c: x },
+            Event::CoordinatorAction { drive: d, action: "downshift" },
+            Event::RoutingDecision { request: n, drive: d },
+            Event::SensorReading { drive: d, sensed_c: x, actual_c: x },
+            Event::Snapshot {
+                drive: d,
+                air_c: x,
+                ambient_c: x,
+                queue: n,
+                util: x,
+                duty: x,
+                rpm: x,
+                gated: n % 2 == 1,
+            },
+            Event::DriveFailed { enclosure: d, disk: w },
+            Event::RebuildProgress { enclosure: d, done: n, total: n },
+            Event::CoolingExcursion { lo: d, hi: d, delta_c: x },
+            Event::TrafficPhase { factor: x },
+            Event::Log { level: "info", message: text.to_string() },
+        ]
+    }
+
+    #[test]
+    fn direct_renderer_matches_the_serializer_on_float_edge_cases() {
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            5e-324,
+            0.1 + 0.2,
+            9_999_999_999_999_998.0,
+            1e16,
+            -1e16,
+            1e300,
+            -2.5,
+            15_020.0,
+        ];
+        for x in edges {
+            for event in every_variant(3, x, "edge") {
+                assert_matches_oracle(&TimedEvent { t: x, event });
+            }
+        }
+    }
+
+    #[test]
+    fn direct_renderer_escapes_log_messages_like_the_serializer() {
+        for message in [
+            "",
+            "plain",
+            "quote \" inside",
+            "back\\slash",
+            "line\nbreak\r\ttab",
+            "control \u{1} \u{8} \u{c} \u{1f}",
+            "non-ASCII: Zürich, 温度, 🌡",
+        ] {
+            for level in ["info", "verbose"] {
+                let event = Event::Log { level, message: message.to_string() };
+                assert_matches_oracle(&TimedEvent { t: 1.0, event });
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn direct_renderer_matches_the_serializer_on_random_fields(
+            variant in 0usize..14,
+            n in any::<u64>(),
+            t_bits in any::<u64>(),
+            x_bits in any::<u64>(),
+            x_scaled in any::<f64>(),
+            chars in prop::collection::vec(0u32..0x1_1000, 0..16),
+        ) {
+            let text: String =
+                chars.iter().map(|&c| char::from_u32(c).unwrap_or('\u{fffd}')).collect();
+            // Raw bit patterns reach NaN, infinities and subnormals; the
+            // scaled draw keeps ordinary magnitudes common.
+            for x in [f64::from_bits(x_bits), x_scaled, x_scaled.trunc()] {
+                let event = every_variant(n, x, &text).swap_remove(variant);
+                let e = TimedEvent { t: f64::from_bits(t_bits), event };
+                prop_assert_eq!(e.to_ndjson_line(), serde_line(&e));
+            }
+        }
+    }
 
     #[test]
     fn is_time_sorted_accepts_ties_and_rejects_regressions() {
@@ -209,33 +463,10 @@ mod tests {
 
     #[test]
     fn every_variant_serializes() {
-        let variants = vec![
-            Event::RequestComplete { id: 1, start: 0.5, response_ms: 12.0 },
-            Event::RpmTransition { drive: 2, from: 15_020.0, to: 12_000.0 },
-            Event::ThrottleEngage { drive: 0, sensed_c: 44.0 },
-            Event::ThrottleDisengage { drive: 0, sensed_c: 43.0 },
-            Event::CoordinatorAction { drive: 1, action: "downshift" },
-            Event::RoutingDecision { request: 9, drive: 3 },
-            Event::SensorReading { drive: 0, sensed_c: 44.0, actual_c: 44.7 },
-            Event::Snapshot {
-                drive: 0,
-                air_c: 40.0,
-                ambient_c: 28.0,
-                queue: 3,
-                util: 0.5,
-                duty: 0.2,
-                rpm: 15_020.0,
-                gated: false,
-            },
-            Event::DriveFailed { enclosure: 2, disk: 1 },
-            Event::RebuildProgress { enclosure: 2, done: 512, total: 4096 },
-            Event::CoolingExcursion { lo: 0, hi: 8, delta_c: 6.0 },
-            Event::TrafficPhase { factor: 1.75 },
-            Event::Log { level: "info", message: "hello".into() },
-        ];
-        for event in variants {
-            let line = TimedEvent { t: 0.0, event }.to_ndjson_line();
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        for n in [0, 1, 7, u64::from(u32::MAX), u64::MAX] {
+            for event in every_variant(n, 12.5, "hello") {
+                assert_matches_oracle(&TimedEvent { t: 0.25, event });
+            }
         }
     }
 }

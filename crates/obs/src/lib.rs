@@ -19,6 +19,17 @@
 //!   uninstrumented ones — `BENCH_obs.json` pins that claim.
 //! - [`Recorder`] implementations for real use: [`NullRecorder`],
 //!   a bounded [`RingRecorder`], and a streaming [`NdjsonRecorder`].
+//!   NDJSON has one renderer, [`TimedEvent::write_ndjson`], which
+//!   appends each event's bytes straight into the recorder's reused
+//!   line buffer — no JSON value tree, no per-field allocation. It
+//!   follows the vendored `serde_json` writer's rules byte for byte
+//!   (key order, integers, the `format_f64` float rule, string
+//!   escaping); `Event` and `TimedEvent` derive `Serialize` only under
+//!   `cfg(test)`, where that serializer is the renderer's oracle.
+//!   (`BENCH_obs.json`'s `recording_overhead_pct` times a
+//!   [`Sink::buffer`] run — buffering and the fleet's merge, never
+//!   serialization — so the renderer does not move it; perfbench's
+//!   `trace` workload measures the recorder end to end.)
 //! - [`metrics`]: a registry of counters, gauges, and log-bucketed
 //!   histograms (generalizing `ResponseStats`' fixed CDF buckets), plus
 //!   a [`metrics::Timeseries`] for periodic snapshot probes, exportable

@@ -175,9 +175,12 @@ impl Recorder for RingRecorder {
 }
 
 /// Streams events as newline-delimited JSON, one compact object per
-/// line — the `lab trace` file format.
+/// line — the `lab trace` file format. Each event renders straight into
+/// one reused line buffer ([`TimedEvent::write_ndjson`]) and reaches the
+/// writer as a single `write_all`.
 pub struct NdjsonRecorder<W: Write> {
     out: W,
+    line: String,
     lines: u64,
     error: Option<io::Error>,
 }
@@ -227,6 +230,7 @@ impl<W: Write> NdjsonRecorder<W> {
     pub fn new(out: W) -> Self {
         Self {
             out,
+            line: String::new(),
             lines: 0,
             error: None,
         }
@@ -254,9 +258,10 @@ impl<W: Write> Recorder for NdjsonRecorder<W> {
         if self.error.is_some() {
             return;
         }
-        let line = event.to_ndjson_line();
-        if let Err(e) = self.out.write_all(line.as_bytes()).and_then(|()| self.out.write_all(b"\n"))
-        {
+        self.line.clear();
+        event.write_ndjson(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
             self.error = Some(e);
             return;
         }
@@ -488,6 +493,78 @@ mod tests {
         let text = String::from_utf8(rec.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 3);
         assert!(text.ends_with('\n'));
+    }
+
+    /// Takes `budget` bytes, then fails every write; counts the calls.
+    struct FailingWriter {
+        written: Vec<u8>,
+        budget: usize,
+        calls: usize,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let room = self.budget - self.written.len();
+            if room == 0 {
+                return Err(io::Error::other("device full"));
+            }
+            let n = room.min(buf.len());
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn ndjson_recorder_keeps_the_first_error_and_stops_writing() {
+        let event = |i: u64| TimedEvent {
+            t: i as f64,
+            event: issue(i),
+        };
+        let first = event(0).to_ndjson_line().len() + 1;
+        // The second line breaks off ten bytes in.
+        let mut rec = NdjsonRecorder::new(FailingWriter {
+            written: Vec::new(),
+            budget: first + 10,
+            calls: 0,
+        });
+        rec.record(&event(0));
+        assert!(rec.error().is_none());
+        rec.record(&event(1));
+        assert_eq!(rec.lines(), 1, "the torn line must not count");
+        assert_eq!(rec.error().map(ToString::to_string).as_deref(), Some("device full"));
+        let calls = rec.out.calls;
+        rec.record(&event(2));
+        rec.record(&event(3));
+        assert_eq!(rec.out.calls, calls, "nothing is written after the first error");
+        assert_eq!(rec.lines(), 1);
+        let out = rec.into_inner();
+        assert_eq!(out.written.len(), first + 10);
+        assert_eq!(&out.written[..first], format!("{}\n", event(0).to_ndjson_line()).as_bytes());
+    }
+
+    #[test]
+    fn a_failed_atomic_trace_commits_nothing() {
+        let dir = std::env::temp_dir().join(format!("diskobs-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.ndjson");
+        let mut rec = NdjsonRecorder::create_atomic(&path).unwrap();
+        rec.record(&TimedEvent {
+            t: 0.0,
+            event: issue(0),
+        });
+        assert_eq!(rec.lines(), 1);
+        // A write failure mid-trace, as the recorder keeps it.
+        rec.error = Some(io::Error::other("device full"));
+        let err = rec.commit().unwrap_err();
+        assert_eq!(err.to_string(), "device full");
+        assert!(!path.exists(), "a failed trace must not land");
+        assert!(!dir.join("trace.ndjson.tmp").exists(), "the temporary is removed");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

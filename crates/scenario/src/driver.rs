@@ -7,6 +7,15 @@ use crate::source::ArrivalSource;
 use diskfleet::{Fleet, FleetError, FleetPhaseProfile};
 use disksim::Request;
 
+/// The most arrivals one sync epoch may draw before [`EpochDriver::step`]
+/// fails with [`FleetError::DrawCapReached`]. The busiest committed
+/// workload (`scenario_diurnal`'s flash crowd) draws 9,031 in one
+/// epoch, so the cap is far out of reach; it exists for sources whose
+/// arrivals barely advance (a replay at rate 1e300, a what-if
+/// `traffic_scale` of 1e300), which would otherwise draw and queue
+/// requests without end inside one epoch.
+pub const MAX_DRAWS_PER_EPOCH: u64 = 1_000_000;
+
 /// One per-epoch observation row, shaped for the experiments' CSVs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochSample {
@@ -23,7 +32,8 @@ pub struct EpochSample {
     /// Cumulative foreground completions (rebuild I/O excluded).
     pub completed: u64,
     /// Rebuild sectors reconstructed so far, summed over active
-    /// rebuilds (sticks at the final total once a rebuild finishes).
+    /// rebuilds; once none is left, the final total of the last ones
+    /// to finish (also when they started and finished in this epoch).
     pub rebuild_done: u64,
     /// Total sectors the active rebuilds must reconstruct.
     pub rebuild_total: u64,
@@ -112,7 +122,11 @@ impl EpochDriver {
     ///
     /// # Errors
     ///
-    /// Propagates injection failures ([`FleetError`]) from the schedule.
+    /// Propagates injection failures ([`FleetError`]) from the schedule,
+    /// and fails with [`FleetError::DrawCapReached`] when the epoch
+    /// would draw more than [`MAX_DRAWS_PER_EPOCH`] arrivals. That
+    /// epoch is abandoned part-way, its draws so far already offered,
+    /// so the driver is not meant to be stepped again.
     pub fn step(&mut self, sink: &mut diskobs::Sink) -> Result<EpochSample, FleetError> {
         if sink.is_enabled() {
             self.fleet.enable_drive_sinks();
@@ -123,10 +137,20 @@ impl EpochDriver {
             engine.apply_epoch(&mut self.fleet, &mut self.source)?;
         }
         let epoch_end = self.fleet.now() + self.fleet.epoch_len();
+        let mut draws = 0;
         loop {
             let r = match self.lookahead.take() {
                 Some(r) => r,
-                None => self.source.next_request(),
+                None if draws == MAX_DRAWS_PER_EPOCH => {
+                    return Err(FleetError::DrawCapReached {
+                        epoch: self.fleet.epochs(),
+                        cap: MAX_DRAWS_PER_EPOCH,
+                    });
+                }
+                None => {
+                    draws += 1;
+                    self.source.next_request()
+                }
             };
             if r.arrival > epoch_end {
                 self.lookahead = Some(r);
@@ -134,6 +158,10 @@ impl EpochDriver {
             }
             self.fleet.offer(std::iter::once(r));
         }
+        // Rebuilds only finish inside `step_epoch`, so when none is left
+        // after it, every one active before it (including one injected
+        // at this very boundary) has just finished in full.
+        let before: u64 = self.fleet.rebuilds().iter().map(|rb| rb.total()).sum();
         self.fleet.step_epoch(sink, &mut self.profile);
         let fleet = &self.fleet;
         let (mut done, mut total) = (0, 0);
@@ -141,9 +169,10 @@ impl EpochDriver {
             done += rb.done();
             total += rb.total();
         }
-        if total == 0 && self.last_rebuild_total > 0 {
-            done = self.last_rebuild_total;
-            total = self.last_rebuild_total;
+        if total == 0 {
+            let finished = if before > 0 { before } else { self.last_rebuild_total };
+            done = finished;
+            total = finished;
         }
         self.last_rebuild_total = total;
         Ok(EpochSample {

@@ -22,7 +22,9 @@
 //!   MSR-Cambridge / DiskSim-ASCII / JSON readers in `workloads`), so
 //!   the fleet and the twin consume real traces identically;
 //! - [`EpochDriver`] — the one epoch-stepping loop, shared by the lab
-//!   experiments and the twin, producing per-epoch [`EpochSample`] rows.
+//!   experiments and the twin, producing per-epoch [`EpochSample`] rows
+//!   and refusing an epoch that would draw more than
+//!   [`MAX_DRAWS_PER_EPOCH`] arrivals.
 //!
 //! # Examples
 //!
@@ -75,6 +77,6 @@ mod driver;
 mod scenario;
 mod source;
 
-pub use driver::{EpochDriver, EpochSample};
+pub use driver::{EpochDriver, EpochSample, MAX_DRAWS_PER_EPOCH};
 pub use scenario::{CoolingScope, Injection, Scenario, ScenarioEngine};
 pub use source::{ArrivalSource, ArrivalSourceState, ReplaySource};

@@ -80,9 +80,14 @@ fn storm_driver(threads: usize) -> EpochDriver {
 /// A storm that finishes: small 1998-era members rebuild within three
 /// epochs, so the later samples carry the finished rebuild's figures.
 fn finishing_driver(threads: usize) -> EpochDriver {
+    finishing_driver_of_era(1998, threads)
+}
+
+/// [`finishing_driver`] with members of the given era.
+fn finishing_driver_of_era(year: i32, threads: usize) -> EpochDriver {
     let mut config = FleetConfig::serial(
         3,
-        DiskSpec::era(1998, 1, Rpm::new(7_200.0)),
+        DiskSpec::era(year, 1, Rpm::new(7_200.0)),
         DriveThermalSpec::new(Inches::new(2.6), 1),
         12.0,
     )
@@ -216,6 +221,33 @@ fn status_count_equals_the_merged_and_reported_counts_every_epoch() {
         runs.push(counts);
     }
     assert_eq!(runs[0], runs[1], "counts diverge across shard counts");
+}
+
+#[test]
+fn a_rebuild_finished_in_the_epoch_it_starts_reaches_the_sample() {
+    // 1995-era members are small enough that the 4M sectors/s scan
+    // ends inside the epoch the failure lands in, so the rebuild has
+    // left the fleet's list before the sample is read.
+    const MEMBER: u64 = 1_310_720;
+    for threads in [1, 4] {
+        let mut driver = finishing_driver_of_era(1995, threads);
+        let mut sink = diskobs::Sink::buffer();
+        let mut samples = Vec::new();
+        driver.run(4, &mut sink, &mut samples).unwrap();
+        assert!(driver.fleet.rebuilds().is_empty(), "the rebuild finished");
+        let figures: Vec<(u64, u64)> =
+            samples.iter().map(|s| (s.rebuild_done, s.rebuild_total)).collect();
+        assert_eq!(figures, [(0, 0), (MEMBER, MEMBER), (MEMBER, MEMBER), (MEMBER, MEMBER)]);
+        let progress: Vec<(f64, u64, u64)> = sink
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                diskobs::Event::RebuildProgress { done, total, .. } => Some((e.t, done, total)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(progress, [(samples[0].time_s, MEMBER, MEMBER)], "the trace agrees");
+    }
 }
 
 #[test]

@@ -62,6 +62,18 @@ cargo run --release --bin lab -- trace figure5
 git diff --exit-code -- results/trace_figure5.ndjson results/trace_figure5_metrics.json \
     results/trace_figure5_timeseries.csv
 
+echo "==> cargo run --release --bin lab -- trace fleet_routing scenario_rebuild"
+# The only committed traces with routing decisions, coordinator
+# actions, drive failures and rebuild progress: the NDJSON renderer's
+# bytes for those events, plus the metrics and timeseries, must match
+# the committed files.
+cargo run --release --bin lab -- trace fleet_routing
+cargo run --release --bin lab -- trace scenario_rebuild
+git diff --exit-code -- results/trace_fleet_routing.ndjson \
+    results/trace_fleet_routing_metrics.json results/trace_fleet_routing_timeseries.csv \
+    results/trace_scenario_rebuild.ndjson results/trace_scenario_rebuild_metrics.json \
+    results/trace_scenario_rebuild_timeseries.csv
+
 echo "==> shard-scaling smoke: 4 shards byte-identical to serial"
 # The parallel epoch boundary must be invisible in the results: the
 # hall experiment and the raw fleet kernel both have to produce
